@@ -185,71 +185,7 @@ def level_payload_lengths(manifest: FileManifest) -> list[list[int]]:
     return lengths
 
 
-def manifest_to_text(manifest: FileManifest) -> str:
-    """Serialize a manifest: filesize and branching lines, then one line of
-    space-separated lowercase hex addresses per level, leaves first."""
-    lines = [
-        f"filesize={manifest.file_size}",
-        f"branching={manifest.params.branching}",
-    ]
-    for level in manifest.levels:
-        lines.append(" ".join(a.hex() for a in level))
-    return "\n".join(lines) + "\n"
-
-
-def manifest_from_text(text: str) -> FileManifest:
-    """Parse the manifest text format. The chunk size is fixed at 4096 by
-    the format; use in-memory manifests for other geometries."""
-    keys, levels, groups = split_manifest_lines(text)
-    if groups:
-        raise ValueError("manifest contains coding groups; parse it as encoded")
-    if "filesize" not in keys or "branching" not in keys:
-        raise ValueError("manifest must declare filesize and branching")
-    params = ChunkParams(branching=int(keys["branching"]))
-    file_size = int(keys["filesize"])
-    _check_levels(levels, file_size, params)
-    return FileManifest(
-        root=levels[-1][0], levels=levels, file_size=file_size, params=params
-    )
-
-
-def split_manifest_lines(
-    text: str,
-) -> tuple[dict[str, str], list[list[Address]], list[str]]:
-    """Split manifest text into key=value pairs, address levels, and raw
-    coding-group lines (present only in the encoded variant)."""
-    keys: dict[str, str] = {}
-    levels: list[list[Address]] = []
-    groups: list[str] = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("group "):
-            groups.append(line)
-        elif "=" in line:
-            key, _, value = line.partition("=")
-            if " " in line:
-                raise ValueError(f"malformed manifest line: {line!r}")
-            keys[key] = value
-        else:
-            addrs = [parse_address(tok) for tok in line.split()]
-            levels.append(addrs)
-    if not levels:
-        raise ValueError("manifest has no address levels")
-    return keys, levels, groups
-
-
 def parse_address(token: str) -> Address:
     if len(token) != 2 * ADDRESS_SIZE:
         raise ValueError(f"bad address {token!r}: expected 64 hex characters")
     return bytes.fromhex(token)
-
-
-def _check_levels(
-    levels: list[list[Address]], file_size: int, params: ChunkParams
-) -> None:
-    expected = tree_shape(file_size, params)
-    got = [len(level) for level in levels]
-    if got != expected:
-        raise ValueError(f"level sizes {got} do not match geometry {expected}")

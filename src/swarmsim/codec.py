@@ -15,7 +15,7 @@ code, keeping the parity count uniform across groups.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -25,11 +25,8 @@ from .chunker import (
     FileManifest,
     content_address,
     level_payload_lengths,
-    manifest_from_text,
-    manifest_to_text,
     parse_address,
     reassemble,
-    split_manifest_lines,
     tree_shape,
 )
 from .errors import DecodingError, UnrecoverableGroupError
@@ -246,18 +243,24 @@ def encode_tree(
     """
     groups: list[CodingGroup] = []
     parity_chunks: dict[Address, bytes] = {}
-    for level_index, level in enumerate(manifest.levels[:-1]):
-        for start in range(0, len(level), params.k):
-            data_addrs = list(level[start : start + params.k])
-            payloads = [chunks[a] for a in data_addrs]
-            parity_payloads = rs_encode(payloads, params)
-            parity_addrs = []
-            for payload in parity_payloads:
-                addr = content_address(payload)
-                parity_chunks[addr] = payload
-                parity_addrs.append(addr)
-            groups.append(CodingGroup(level_index, data_addrs, parity_addrs))
+    for level_index, data_addrs in _group_runs(manifest, params.k):
+        parity_addrs = []
+        for payload in rs_encode([chunks[a] for a in data_addrs], params):
+            addr = content_address(payload)
+            parity_chunks[addr] = payload
+            parity_addrs.append(addr)
+        groups.append(CodingGroup(level_index, data_addrs, parity_addrs))
     return EncodedManifest(manifest, params, groups), parity_chunks
+
+
+def _group_runs(
+    manifest: FileManifest, k: int
+) -> Iterator[tuple[int, list[Address]]]:
+    """(level, data addresses) of every coding group: each non-root level
+    cut left to right into runs of at most k chunks."""
+    for level_index, level in enumerate(manifest.levels[:-1]):
+        for start in range(0, len(level), k):
+            yield level_index, level[start : start + k]
 
 
 def group_data_lengths(encoded: EncodedManifest) -> list[list[int]]:
@@ -347,42 +350,70 @@ def repair_retrieve(
     return reassemble(root, resolve, encoded.base.params, encoded.base.file_size)
 
 
-def encoded_manifest_to_text(encoded: EncodedManifest) -> str:
-    """Serialize an encoded manifest: the plain format plus k and n lines
-    and one group line per coding group."""
-    base = encoded.base
-    lines = [
-        f"filesize={base.file_size}",
-        f"branching={base.params.branching}",
-        f"k={encoded.params.k}",
-        f"n={encoded.params.n}",
-    ]
-    for level in base.levels:
-        lines.append(" ".join(a.hex() for a in level))
-    for group in encoded.groups:
+def manifest_root(manifest: FileManifest | EncodedManifest) -> Address:
+    return manifest.root if isinstance(manifest, FileManifest) else manifest.base.root
+
+
+def manifest_text(manifest: FileManifest | EncodedManifest) -> str:
+    """Serialize either manifest flavour: filesize and branching lines, a
+    chunksize line unless the chunk size is the default 4096, k and n lines
+    if encoded, one line of space-separated addresses per level (leaves
+    first), then one group line per coding group."""
+    encoded = isinstance(manifest, EncodedManifest)
+    base = manifest.base if encoded else manifest
+    lines = [f"filesize={base.file_size}", f"branching={base.params.branching}"]
+    if base.params.chunk_size != ChunkParams.chunk_size:
+        lines.append(f"chunksize={base.params.chunk_size}")
+    if encoded:
+        lines += [f"k={manifest.params.k}", f"n={manifest.params.n}"]
+    lines += [" ".join(a.hex() for a in level) for level in base.levels]
+    for group in manifest.groups if encoded else ():
         data = " ".join(a.hex() for a in group.data_addresses)
         parity = " ".join(a.hex() for a in group.parity_addresses)
         lines.append(f"group level={group.level} data={data} parity={parity}")
     return "\n".join(lines) + "\n"
 
 
-def encoded_manifest_from_text(text: str) -> EncodedManifest:
-    keys, levels, group_lines = split_manifest_lines(text)
-    for required in ("filesize", "branching", "k", "n"):
+def parse_manifest_text(text: str) -> FileManifest | EncodedManifest:
+    """Parse either manifest flavour; k=, n= or group lines mark the encoded
+    one. Without a chunksize line the chunk size is 4096."""
+    keys: dict[str, str] = {}
+    levels: list[list[Address]] = []
+    group_lines: list[str] = []
+    for line in text.splitlines():
+        line = line.strip()
+        if not line:
+            continue
+        if line.startswith("group "):
+            group_lines.append(line)
+        elif "=" in line:
+            if " " in line:
+                raise ValueError(f"malformed manifest line: {line!r}")
+            key, _, value = line.partition("=")
+            keys[key] = value
+        else:
+            levels.append([parse_address(tok) for tok in line.split()])
+    if not levels:
+        raise ValueError("manifest has no address levels")
+    encoded = bool(group_lines) or "k" in keys or "n" in keys
+    for required in ("filesize", "branching") + (("k", "n") if encoded else ()):
         if required not in keys:
-            raise ValueError(f"encoded manifest must declare {required}")
-    params = CodingParams(k=int(keys["k"]), n=int(keys["n"]))
-    base = FileManifest(
-        root=levels[-1][0],
-        levels=levels,
-        file_size=int(keys["filesize"]),
-        params=ChunkParams(branching=int(keys["branching"])),
+            raise ValueError(f"manifest must declare {required}")
+    params = ChunkParams(
+        chunk_size=int(keys.get("chunksize", ChunkParams.chunk_size)),
+        branching=int(keys["branching"]),
     )
-    if [len(lv) for lv in levels] != tree_shape(base.file_size, base.params):
-        raise ValueError("level sizes do not match geometry")
+    file_size = int(keys["filesize"])
+    got, expected = [len(level) for level in levels], tree_shape(file_size, params)
+    if got != expected:
+        raise ValueError(f"level sizes {got} do not match geometry {expected}")
+    base = FileManifest(levels[-1][0], levels, file_size, params)
+    if not encoded:
+        return base
+    coding = CodingParams(k=int(keys["k"]), n=int(keys["n"]))
     groups = [_parse_group_line(line) for line in group_lines]
-    _check_groups(base, groups, params)
-    return EncodedManifest(base, params, groups)
+    _check_groups(base, groups, coding)
+    return EncodedManifest(base, coding, groups)
 
 
 def _parse_group_line(line: str) -> CodingGroup:
@@ -414,10 +445,7 @@ def _check_groups(
 ) -> None:
     """Groups must partition every non-root level left to right in k-sized
     runs, with n - k parity addresses each."""
-    expected: list[tuple[int, list[Address]]] = []
-    for level_index, level in enumerate(base.levels[:-1]):
-        for start in range(0, len(level), params.k):
-            expected.append((level_index, list(level[start : start + params.k])))
+    expected = list(_group_runs(base, params.k))
     if len(groups) != len(expected):
         raise ValueError(
             f"expected {len(expected)} coding groups, found {len(groups)}"
@@ -428,21 +456,3 @@ def _check_groups(
             raise ValueError("coding groups do not partition the tree levels")
         if len(group.parity_addresses) != parity_count:
             raise ValueError("coding group has wrong parity count")
-
-
-def parse_manifest_text(text: str) -> FileManifest | EncodedManifest:
-    """Parse either manifest flavor, detecting the encoded one by its k= line."""
-    keys, _, _ = split_manifest_lines(text)
-    if "k" in keys or "n" in keys:
-        return encoded_manifest_from_text(text)
-    return manifest_from_text(text)
-
-
-def manifest_root(manifest: FileManifest | EncodedManifest) -> Address:
-    return manifest.root if isinstance(manifest, FileManifest) else manifest.base.root
-
-
-def manifest_text(manifest: FileManifest | EncodedManifest) -> str:
-    if isinstance(manifest, EncodedManifest):
-        return encoded_manifest_to_text(manifest)
-    return manifest_to_text(manifest)

@@ -2,12 +2,13 @@
 
 prepare() uploads every configured file, plans and applies deletions until
 replication is uniform, verifies the replication rules independently, and
-snapshots the result. run_iterations() then replays that snapshot: restore,
-check syncing is off, check connectivity, fail a seeded set of peers, and
-attempt to retrieve every file. Each (fraction, iteration) pair draws its
-failure set and entry peer from seeds derived from the indices alone, so
-results are independent of which other iterations ran. All reported costs
-are hop and byte counts, never wall-clock times.
+snapshots the result. run_iterations() checks connectivity once, then
+replays that snapshot for every cell: restore, check syncing is off, fail a
+seeded set of peers, and attempt to retrieve every file. Each (fraction,
+iteration) pair draws its failure set and entry peer from seeds derived
+from the indices alone, so results are independent of which other
+iterations ran. All reported costs are hop and byte counts, never
+wall-clock times.
 """
 
 from __future__ import annotations
@@ -254,20 +255,21 @@ def run_iterations(
 ) -> list[AvailabilityResult]:
     """Replay the snapshot under every configured failure fraction.
 
-    Each iteration restores the snapshot, checks syncing is off and the
-    views are connected, fails a seeded peer set, and retrieves every file
-    through a seeded live entry peer.
+    The views are checked for connectivity once, since restoring keeps
+    them. Each iteration then restores the snapshot, checks syncing is off,
+    fails a seeded peer set, and retrieves every file through a seeded live
+    entry peer.
     """
     manifests = derive_manifests(config)
     overheads = _file_overheads(snapshot, manifests)
     network = spawn_network(snapshot.config)
+    network.wait_for_connectivity(config.min_degree)
     results: list[AvailabilityResult] = []
     for fi, fraction in enumerate(config.fractions):
         for iteration in range(config.iterations):
             network.restore(snapshot)
             if network.sync_mode != SYNC_NONE:
                 raise SwarmSimError("restore left syncing enabled")
-            network.wait_for_connectivity(config.min_degree)
             network.fail_peers(
                 fraction=fraction,
                 seed=iteration_seed(config.sim.seed, fi, iteration),

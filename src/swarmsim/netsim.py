@@ -113,11 +113,8 @@ class Network:
         self.failed: set[PeerId] = set()
         self.sync_mode = config.sync_mode
         self._ints = {pid: int.from_bytes(pid, "big") for pid in self.peer_ids}
-        self._rebuild_views()
-
-    def _rebuild_views(self) -> None:
         self.views: dict[PeerId, RoutingView] = build_views(
-            self.peer_ids, self.config.view_size, self.config.seed
+            self.peer_ids, config.view_size, config.seed
         )
         self._view_ints = {
             pid: [self._ints[q] for q in view.known]
@@ -335,8 +332,9 @@ class Network:
         return Snapshot(config=config, stores=stores, digest=self.census_digest())
 
     def restore(self, snap: Snapshot) -> str:
-        """Reset stores to the snapshot, clear failure marks, force syncing
-        off, and rebuild routing views. Returns the census digest."""
+        """Reset stores to the snapshot, clear failure marks, and force
+        syncing off. Routing views are kept, since they depend only on this
+        network's config. Returns the census digest."""
         if snap.config.num_peers != len(self.peer_ids):
             raise SnapshotMismatchError(
                 f"snapshot has {snap.config.num_peers} peers, "
@@ -347,7 +345,6 @@ class Network:
         self.stores = {pid: dict(snap.stores[pid]) for pid in self.peer_ids}
         self.failed.clear()
         self.sync_mode = SYNC_NONE
-        self._rebuild_views()
         return self.census_digest()
 
     def wait_for_connectivity(self, min_degree: int) -> ConnectivityReport:

@@ -32,6 +32,7 @@ from .errors import (
     SyncModeError,
     UnderReplicatedError,
 )
+from .netsim import SYNC_NONE
 from .overlay import PeerId
 
 DeletionEntry = tuple[PeerId, Address]
@@ -140,12 +141,10 @@ def placement_from_network(network, files: dict[str, Sequence[Address]]) -> Plac
     failure is unreachability, not loss).
     """
     addresses = sorted({a for addrs in files.values() for a in addrs})
-    chunk_to_peers: dict[Address, set[PeerId]] = {}
-    for addr in addresses:
-        holders = {pid for pid in network.peer_ids if addr in network.stores[pid]}
+    chunk_to_peers = holders_map(network, addresses)
+    for addr, holders in chunk_to_peers.items():
         if not holders:
             raise ValueError(f"chunk {addr.hex()} has no holders")
-        chunk_to_peers[addr] = holders
     return PlacementMap(
         chunk_to_peers=chunk_to_peers,
         files={fid: tuple(files[fid]) for fid in sorted(files)},
@@ -153,11 +152,13 @@ def placement_from_network(network, files: dict[str, Sequence[Address]]) -> Plac
 
 
 def holders_map(network, addresses: Iterable[Address]) -> dict[Address, set[PeerId]]:
-    """Current holders per address, empty sets included."""
-    return {
-        addr: {pid for pid in network.peer_ids if addr in network.stores[pid]}
-        for addr in addresses
-    }
+    """Current holders per address, empty sets included. One pass over the
+    stores in peer order, so every holder set is built in that order."""
+    holders: dict[Address, set[PeerId]] = {addr: set() for addr in addresses}
+    for pid in network.peer_ids:
+        for addr in holders.keys() & network.stores[pid].keys():
+            holders[addr].add(pid)
+    return holders
 
 
 # -- bakedeletion ------------------------------------------------------------
@@ -209,9 +210,7 @@ def bakedeletion(placement: PlacementMap, target_r: int) -> list[DeletionEntry]:
 
     keep, starved = _cover_keep(chunk_to_peers, files_of, held_in_file, target_r)
     if starved:
-        keep = _exhaustive_keep(
-            placement, files_of, set(held_in_file), target_r, starved
-        )
+        keep = _exhaustive_keep(placement, target_r, starved)
     _fill_keep(keep, chunk_to_peers, target_r)
 
     deletions = [
@@ -244,7 +243,11 @@ def _cover_keep(
     def covered(pid: PeerId, fid: str) -> bool:
         return any(pid in keep[a] for a in held_in_file[(pid, fid)])
 
-    def augment(pid: PeerId, fid: str, visited: set) -> bool:
+    def augment(pid: PeerId, fid: str, visited: set):
+        """Cover (pid, fid). A generator, so that eviction chains as long as
+        the placement need no recursion: it yields each obligation an
+        eviction orphans, is sent whether re-covering that one succeeded,
+        and returns its own success."""
         options = sorted(held_in_file[(pid, fid)], key=lambda a: (len(keep[a]), a))
         for addr in options:
             if len(keep[addr]) < target_r:
@@ -263,16 +266,36 @@ def _cover_keep(
                     for f in files_of[addr]
                     if (out, f) in held_in_file and not covered(out, f)
                 ]
-                if all(augment(q, f, visited) for q, f in orphans):
+                for orphan in orphans:
+                    if not (yield orphan):
+                        break
+                else:
                     return True
                 keep.clear()
                 keep.update(saved)
         return False
 
+    def cover(pid: PeerId, fid: str) -> bool:
+        """Drive augment depth-first from an explicit stack of suspended
+        searches, each waiting on the orphan it yielded last."""
+        visited: set = set()
+        stack = [augment(pid, fid, visited)]
+        result = None
+        while stack:
+            try:
+                orphan = stack[-1].send(result)
+            except StopIteration as done:
+                stack.pop()
+                result = done.value
+            else:
+                stack.append(augment(*orphan, visited))
+                result = None
+        return result
+
     starved: list[tuple[PeerId, str]] = []
     order = sorted(held_in_file, key=lambda pf: (len(held_in_file[pf]), pf[1], pf[0]))
     for pid, fid in order:
-        if not covered(pid, fid) and not augment(pid, fid, set()):
+        if not covered(pid, fid) and not cover(pid, fid):
             starved.append((pid, fid))
     return keep, starved
 
@@ -302,23 +325,21 @@ def _fill_keep(
 
 
 def _starved_pairs(
-    keep: dict[Address, set[PeerId]],
-    placement: PlacementMap,
-    need: set[tuple[PeerId, str]],
+    placement: PlacementMap, keep: dict[Address, set[PeerId]]
 ) -> list[tuple[PeerId, str]]:
+    """Rule A: every (peer, file) pair, in (file, peer) order, where the
+    peer holds a chunk of the file in the placement but keeps none."""
     starved = []
-    for pid, fid in sorted(need):
-        if not any(pid in keep.get(a, set()) for a in placement.files[fid]):
-            starved.append((pid, fid))
+    for fid in sorted(placement.files):
+        addrs = placement.files[fid]
+        held = {p for a in addrs for p in placement.chunk_to_peers[a]}
+        kept = {p for a in addrs for p in keep.get(a, ())}
+        starved += [(pid, fid) for pid in sorted(held - kept)]
     return starved
 
 
 def _exhaustive_keep(
-    placement: PlacementMap,
-    files_of: dict[Address, list[str]],
-    need: set[tuple[PeerId, str]],
-    target_r: int,
-    starved: list[tuple[PeerId, str]],
+    placement: PlacementMap, target_r: int, starved: list[tuple[PeerId, str]]
 ) -> dict[Address, set[PeerId]]:
     chunk_to_peers = placement.chunk_to_peers
     addrs = sorted(chunk_to_peers)
@@ -336,7 +357,7 @@ def _exhaustive_keep(
         )
     for combo in itertools.product(*options):
         keep = {a: set(c) for a, c in zip(addrs, combo)}
-        if not _starved_pairs(keep, placement, need):
+        if not _starved_pairs(placement, keep):
             return keep
     raise InfeasiblePlanError(
         f"no keep-assignment satisfies rule A at target {target_r}; "
@@ -355,16 +376,11 @@ def check_rules(
 ) -> RulesReport:
     """Independently verify rules A-D for an after-placement recomputed from
     stores. `after` must cover the same addresses (empty sets allowed)."""
-    violations: list[str] = []
-
-    a_ok = True
-    for fid in sorted(before.files):
-        addrs = before.files[fid]
-        holders_before = sorted({p for a in addrs for p in before.chunk_to_peers[a]})
-        for pid in holders_before:
-            if not any(pid in after.get(a, set()) for a in addrs):
-                a_ok = False
-                violations.append(f"A: peer {pid.hex()} lost all chunks of {fid}")
+    starved = _starved_pairs(before, after)
+    a_ok = not starved
+    violations = [
+        f"A: peer {pid.hex()} lost all chunks of {fid}" for pid, fid in starved
+    ]
 
     before_set = set(before.chunk_to_peers)
     after_set = {a for a, holders in after.items() if holders}
@@ -413,18 +429,16 @@ def combinestorage(
     merged = sorted({entry for lst in lists for entry in lst})
     if placement is not None:
         removed = set(merged)
-        for fid in sorted(placement.files):
-            addrs = placement.files[fid]
-            holders = sorted({p for a in addrs for p in placement.chunk_to_peers[a]})
-            for pid in holders:
-                if not any(
-                    pid in placement.chunk_to_peers[a] and (pid, a) not in removed
-                    for a in addrs
-                ):
-                    raise InfeasiblePlanError(
-                        f"combined deletions starve peer {pid.hex()} of file "
-                        f"{fid} (rule A)"
-                    )
+        kept = {
+            a: {p for p in holders if (p, a) not in removed}
+            for a, holders in placement.chunk_to_peers.items()
+        }
+        starved = _starved_pairs(placement, kept)
+        if starved:
+            pid, fid = starved[0]
+            raise InfeasiblePlanError(
+                f"combined deletions starve peer {pid.hex()} of file {fid} (rule A)"
+            )
     return merged
 
 
@@ -435,7 +449,7 @@ def deletechunks(network, entries: Sequence[DeletionEntry]) -> DeleteReport:
     the deleted chunks straight back. Entries naming a chunk the peer does
     not hold are counted, not fatal.
     """
-    if network.sync_mode != "no_sync":
+    if network.sync_mode != SYNC_NONE:
         raise SyncModeError(
             "refusing to delete chunks while syncing is enabled; "
             "switch the network to no_sync first"

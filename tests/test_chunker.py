@@ -6,13 +6,12 @@ from swarmsim.chunker import (
     build_tree,
     content_address,
     level_payload_lengths,
-    manifest_from_text,
-    manifest_to_text,
     parse_address,
     reassemble,
     split_file,
     tree_shape,
 )
+from swarmsim.codec import manifest_text, parse_manifest_text
 from swarmsim.errors import MalformedChunkError, MissingChunkError
 from swarmsim.seeds import seeded_bytes
 
@@ -191,7 +190,7 @@ class TestManifestText:
     def test_roundtrip(self):
         data = seeded_bytes(36_864, "text")
         manifest, _ = build_tree(split_file(data, B3), B3)
-        parsed = manifest_from_text(manifest_to_text(manifest))
+        parsed = parse_manifest_text(manifest_text(manifest))
         assert parsed.root == manifest.root
         assert parsed.levels == manifest.levels
         assert parsed.file_size == manifest.file_size
@@ -200,23 +199,23 @@ class TestManifestText:
     def test_layout(self):
         data = seeded_bytes(5000, "layout")
         manifest, _ = build_tree(split_file(data, ChunkParams()), ChunkParams())
-        lines = manifest_to_text(manifest).splitlines()
+        lines = manifest_text(manifest).splitlines()
         assert lines[0] == "filesize=5000"
         assert lines[1] == "branching=128"
         assert len(lines) == 4
         assert lines[3] == manifest.root.hex()
-        assert manifest_to_text(manifest).endswith("\n")
+        assert manifest_text(manifest).endswith("\n")
 
     def test_rejects_wrong_level_sizes(self):
         data = seeded_bytes(5000, "bad")
         manifest, _ = build_tree(split_file(data, ChunkParams()), ChunkParams())
-        text = manifest_to_text(manifest).replace("filesize=5000", "filesize=1")
+        text = manifest_text(manifest).replace("filesize=5000", "filesize=1")
         with pytest.raises(ValueError, match="geometry"):
-            manifest_from_text(text)
+            parse_manifest_text(text)
 
     def test_rejects_missing_keys(self):
         with pytest.raises(ValueError, match="filesize"):
-            manifest_from_text("0" * 64 + "\n")
+            parse_manifest_text("0" * 64 + "\n")
 
     def test_parse_address_validates_length(self):
         with pytest.raises(ValueError, match="64 hex"):

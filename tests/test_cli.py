@@ -174,6 +174,26 @@ class TestUploadRetrieve:
         assert "retrieved 20000 bytes" in out
         assert out_path.read_bytes() == state["source"].read_bytes()
 
+    def test_non_default_chunk_size_survives_the_manifest(self, tmp_path):
+        source = tmp_path / "input.bin"
+        source.write_bytes(seeded_bytes(50_000, "cli-chunksize"))
+        manifest, listed = tmp_path / "m.txt", tmp_path / "chunks.txt"
+        code, _, err = cli(
+            "upload", "--file", source, "--state", tmp_path / "net",
+            "--out", manifest, "--peers", 10, "--view-size", 5,
+            "--chunk-size", 1024, "--branching", 8,
+        )
+        assert code == EX_OK, err
+        code, _, err = cli(
+            "retrieve", "--state", tmp_path / "net", "--manifest", manifest,
+            "--out", tmp_path / "back.bin", "--entry", 0,
+        )
+        assert code == EX_OK, err
+        assert (tmp_path / "back.bin").read_bytes() == source.read_bytes()
+        code, _, err = cli("listchunks", "--manifest", manifest, "--out", listed)
+        assert code == EX_OK, err
+        assert len(listed.read_text().splitlines()) == 49 + 7 + 1
+
     def test_upload_prints_manifest_root(self, state):
         manifest = parse_manifest_text(state["manifest"].read_text())
         assert state["root"] == manifest_root(manifest).hex()

@@ -1,18 +1,18 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from swarmsim.chunker import ChunkParams, build_tree, content_address, split_file
 from swarmsim.codec import (
     CodingParams,
     EncodedManifest,
     encode_tree,
-    encoded_manifest_from_text,
-    encoded_manifest_to_text,
     gf_inv,
     gf_mul,
     gf_pow,
     group_data_lengths,
+    manifest_text,
     parse_manifest_text,
     repair_retrieve,
     rs_decode,
@@ -287,7 +287,7 @@ class TestEncodedManifestText:
     def test_roundtrip(self):
         _, manifest, chunks = fig_tree("text")
         encoded, _ = encode_tree(manifest, chunks, CodingParams(k=3, n=4))
-        parsed = encoded_manifest_from_text(encoded_manifest_to_text(encoded))
+        parsed = parse_manifest_text(manifest_text(encoded))
         assert parsed.base.root == encoded.base.root
         assert parsed.base.levels == encoded.base.levels
         assert parsed.params == encoded.params
@@ -298,33 +298,47 @@ class TestEncodedManifestText:
     def test_layout(self):
         _, manifest, chunks = fig_tree("layout")
         encoded, _ = encode_tree(manifest, chunks, CodingParams(k=3, n=4))
-        lines = encoded_manifest_to_text(encoded).splitlines()
+        lines = manifest_text(encoded).splitlines()
         assert lines[0] == "filesize=36864"
         assert lines[2] == "k=3"
         assert lines[3] == "n=4"
         assert sum(1 for ln in lines if ln.startswith("group ")) == 4
 
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_both_flavours_roundtrip_for_every_geometry(self, data):
+        chunk_size = data.draw(st.one_of(st.just(4096), st.integers(64, 8192)))
+        params = ChunkParams(chunk_size, data.draw(st.integers(2, chunk_size // 32)))
+        size = data.draw(st.integers(1, 50_000))
+        k = data.draw(st.integers(1, 6))
+        coding = CodingParams(k, data.draw(st.integers(k, k + 3)))
+        payload = seeded_bytes(size, "manifest-prop", chunk_size, params.branching)
+        manifest, chunks = build_tree(split_file(payload, params), params)
+        encoded, _ = encode_tree(manifest, chunks, coding)
+        assert parse_manifest_text(manifest_text(manifest)) == manifest
+        assert parse_manifest_text(manifest_text(encoded)) == encoded
+
     def test_parse_dispatches_on_coding_keys(self):
-        from swarmsim.chunker import FileManifest, manifest_to_text
+        from swarmsim.chunker import FileManifest
 
         _, manifest, chunks = fig_tree("dispatch")
         encoded, _ = encode_tree(manifest, chunks, CodingParams(k=3, n=4))
-        assert isinstance(parse_manifest_text(manifest_to_text(manifest)), FileManifest)
+        assert isinstance(parse_manifest_text(manifest_text(manifest)), FileManifest)
         assert isinstance(
-            parse_manifest_text(encoded_manifest_to_text(encoded)), EncodedManifest
+            parse_manifest_text(manifest_text(encoded)), EncodedManifest
         )
 
     def test_rejects_groups_that_do_not_partition(self):
         _, manifest, chunks = fig_tree("badgroups")
         encoded, _ = encode_tree(manifest, chunks, CodingParams(k=3, n=4))
-        text = encoded_manifest_to_text(encoded)
+        text = manifest_text(encoded)
         kept = [ln for ln in text.splitlines() if not ln.startswith("group ")]
         with pytest.raises(ValueError, match="coding groups"):
-            encoded_manifest_from_text("\n".join(kept) + "\n")
+            parse_manifest_text("\n".join(kept) + "\n")
 
     def test_rejects_malformed_group_line(self):
         _, manifest, chunks = fig_tree("badline")
         encoded, _ = encode_tree(manifest, chunks, CodingParams(k=3, n=4))
-        text = encoded_manifest_to_text(encoded).replace("group level=0 data=", "group ", 1)
+        text = manifest_text(encoded).replace("group level=0 data=", "group ", 1)
         with pytest.raises(ValueError):
-            encoded_manifest_from_text(text)
+            parse_manifest_text(text)

@@ -198,6 +198,24 @@ class TestBakedeletion:
         with pytest.raises(ValueError):
             bakedeletion(placement, 0)
 
+    def test_eviction_chain_longer_than_the_recursion_limit(self):
+        # z holds only c0 and is covered first; x1..x500 take c1..c500 in id
+        # order; x0, last by id, must evict its way down the whole chain
+        chunks = [i.to_bytes(32, "big") for i in range(501)]
+        z = bytes.fromhex("fe" * 32)
+        xs = [bytes.fromhex("ff" * 32)] + [i.to_bytes(32, "big") for i in range(1, 500)]
+        chunk_to_peers = {c: set() for c in chunks}
+        chunk_to_peers[chunks[0]].add(z)
+        for i, x in enumerate(xs):
+            chunk_to_peers[chunks[i]].add(x)
+            chunk_to_peers[chunks[i + 1]].add(x)
+        placement = PlacementMap(chunk_to_peers, files={"f": tuple(chunks)})
+        deletions = bakedeletion(placement, 1)
+        after = apply_plan(placement, deletions)
+        assert check_rules(placement, after, 1).ok
+        assert after[chunks[0]] == {z}
+        assert all(after[chunks[i + 1]] == {x} for i, x in enumerate(xs))
+
     def test_deterministic(self):
         placement, target_r = feasible_instance(99)
         assert bakedeletion(placement, target_r) == bakedeletion(placement, target_r)
