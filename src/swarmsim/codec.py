@@ -374,9 +374,14 @@ def manifest_text(manifest: FileManifest | EncodedManifest) -> str:
     return "\n".join(lines) + "\n"
 
 
+_MANIFEST_KEYS = ("filesize", "branching", "chunksize", "k", "n")
+
+
 def parse_manifest_text(text: str) -> FileManifest | EncodedManifest:
     """Parse either manifest flavour; k=, n= or group lines mark the encoded
-    one. Without a chunksize line the chunk size is 4096."""
+    one. Without a chunksize line the chunk size is 4096. A key the writer
+    never emits is rejected, so a misspelt key cannot fall back to a
+    default."""
     keys: dict[str, str] = {}
     levels: list[list[Address]] = []
     group_lines: list[str] = []
@@ -390,6 +395,8 @@ def parse_manifest_text(text: str) -> FileManifest | EncodedManifest:
             if " " in line:
                 raise ValueError(f"malformed manifest line: {line!r}")
             key, _, value = line.partition("=")
+            if key not in _MANIFEST_KEYS:
+                raise ValueError(f"unknown manifest key {key!r}")
             keys[key] = value
         else:
             levels.append([parse_address(tok) for tok in line.split()])

@@ -357,12 +357,20 @@ def run_experiment(
     return prepared, results, paths
 
 
+_CONFIG_KEYS = (
+    "peers", "file_sizes", "min_degree", "seed", "view_size", "ns", "backends",
+    "sync_mode", "chunk_size", "branching", "k", "n", "target_r", "fractions",
+    "iterations", "out",
+)
+
+
 def parse_experiment_config(text: str) -> ExperimentConfig:
     """Parse the key=value experiment file format.
 
     Required keys: peers, file_sizes, min_degree. Optional: seed, view_size,
     ns, backends, sync_mode, chunk_size, branching, k, n, target_r,
-    fractions, iterations, out. k and n must be given together.
+    fractions, iterations, out. k and n must be given together. Any other
+    key is rejected.
     """
     keys: dict[str, str] = {}
     for line in text.splitlines():
@@ -372,7 +380,10 @@ def parse_experiment_config(text: str) -> ExperimentConfig:
         if "=" not in line:
             raise ValueError(f"malformed config line: {line!r}")
         key, _, value = line.partition("=")
-        keys[key.strip()] = value.strip()
+        key = key.strip()
+        if key not in _CONFIG_KEYS:
+            raise ValueError(f"unknown experiment config key {key!r}")
+        keys[key] = value.strip()
 
     for required in ("peers", "file_sizes", "min_degree"):
         if required not in keys:

@@ -15,10 +15,12 @@ operation sequences produce bit-identical stores.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import shutil
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Callable
 
 from .chunker import Address, ChunkParams, FileManifest, reassemble, split_file, build_tree
 from .codec import CodingParams, EncodedManifest, encode_tree, repair_retrieve
@@ -94,6 +96,10 @@ class Snapshot:
     digest: str
 
 
+# live peer ints, and address -> live holders
+LookupIndex = tuple[list[int], dict[Address, list[PeerId]]]
+
+
 def backend_assignment(num_peers: int, num_backends: int) -> list[int]:
     """Backend index per peer: peer i runs on backend i mod num_backends."""
     return [i % num_backends for i in range(num_peers)]
@@ -145,12 +151,39 @@ class Network:
             current = best
             path.append(current)
 
-    def _locate(self, entry: PeerId, addr: Address) -> tuple[bytes | None, int]:
+    def _lookup_index(self) -> LookupIndex:
+        """Every live peer's id as an int, and each address the live peers
+        hold mapped to its live holders, from one pass over the live stores.
+        Retrieval never writes a store or changes failures, so one index
+        serves a whole retrieve call."""
+        live: list[int] = []
+        holders: dict[Address, list[PeerId]] = {}
+        for pid in self.peer_ids:
+            if pid in self.failed:
+                continue
+            live.append(self._ints[pid])
+            for addr in self.stores[pid]:
+                holders.setdefault(addr, []).append(pid)
+        return live, holders
+
+    def _locate(
+        self,
+        entry: PeerId,
+        addr: Address,
+        index: Callable[[], LookupIndex],
+    ) -> tuple[bytes | None, int]:
         """Find a live holder of addr, returning (payload, peers probed).
 
         Probes the requester, the greedy path, the terminal neighborhood,
         then any remaining live peers by ascending distance; the fetch only
-        misses when no live peer holds the chunk at all.
+        misses when no live peer holds the chunk at all. index returns
+        _lookup_index's result; it is called only by the last phase.
+
+        The last phase is counted rather than walked. Every peer probed so
+        far missed, so the walk would end at the live holder nearest addr
+        after probing each unseen live peer nearer than it (distances to one
+        address are distinct), or probe every unseen live peer and miss when
+        no live peer holds addr.
         """
         probes = 0
         seen: set[PeerId] = set()
@@ -177,18 +210,17 @@ class Network:
             payload = probe(pid)
             if payload is not None:
                 return payload, probes
+        live, holders = index()
+        found = holders.get(addr)
+        if not found:
+            return None, probes + len(live) - len(seen)
         a = int.from_bytes(addr, "big")
-        rest = [
-            pid
-            for pid in self.peer_ids
-            if pid not in seen and pid not in self.failed
-        ]
-        rest.sort(key=lambda pid: (a ^ self._ints[pid], pid))
-        for pid in rest:
-            payload = probe(pid)
-            if payload is not None:
-                return payload, probes
-        return None, probes
+        nearest = min(found, key=lambda pid: a ^ self._ints[pid])
+        d = a ^ self._ints[nearest]
+        nearer = len([x for x in live if a ^ x < d]) - len(
+            [pid for pid in seen if a ^ self._ints[pid] < d]
+        )
+        return self.stores[nearest][addr], probes + nearer + 1
 
     # -- upload / retrieve -------------------------------------------------
 
@@ -267,9 +299,12 @@ class Network:
         if from_peer in self.failed:
             stats.error = "entry peer is failed"
             return None, stats
+        # built by the first lookup that reaches the last phase, if any; on a
+        # network that was never normalised most retrievals need none
+        index = functools.cache(self._lookup_index)
 
         def fetch(addr: Address) -> bytes | None:
-            payload, probes = self._locate(from_peer, addr)
+            payload, probes = self._locate(from_peer, addr, index)
             stats.hops += probes
             if payload is not None:
                 stats.bytes_fetched += len(payload)

@@ -34,15 +34,19 @@ def xor_distance(a: bytes, b: bytes) -> int:
 def nearest_peers(target: bytes, candidates, m: int) -> list[PeerId]:
     """The m candidates nearest to target, ascending XOR distance.
 
-    Distances to a fixed target are unique per candidate; the id tie-break
-    only pins the order of duplicate entries.
+    The target is converted to an int once and candidates are sorted on
+    their XOR with it. Distances to a fixed target are distinct for
+    distinct ids, so the order needs no tie-break.
     """
     if m < 1:
         raise ValueError("m must be at least 1")
     pool = list(candidates)
     if not pool:
         raise ValueError("no candidates")
-    pool.sort(key=lambda p: (xor_distance(target, p), p))
+    if set(map(len, pool)) != {len(target)}:
+        raise ValueError("ids must have equal length")
+    t = int.from_bytes(target, "big")
+    pool.sort(key=lambda p: t ^ int.from_bytes(p, "big"))
     return pool[:m]
 
 
@@ -80,7 +84,9 @@ def build_views(
     A peer's view holds its view_size nearest peers among a candidate pool
     of well-known peers plus a per-peer uniform sample. The view never
     contains the owner. view_size is clamped to the peer count minus one,
-    with a warning.
+    with a warning. The per-peer sample draws indices into the sorted ids
+    with the owner's position skipped, so no per-peer copy of the ids is
+    made.
     """
     n = len(peer_ids)
     if n < 2:
@@ -95,6 +101,9 @@ def build_views(
         view_size = n - 1
 
     ordered = sorted(peer_ids)
+    position = {pid: i for i, pid in enumerate(ordered)}
+    if len(position) != n:
+        raise ValueError("peer ids must be distinct")
     shuffled = list(ordered)
     derive_rng("well-known", seed).shuffle(shuffled)
     well_known = set(shuffled[: min(_WELL_KNOWN_COUNT, n)])
@@ -102,9 +111,10 @@ def build_views(
     sample_size = min(n - 1, _SAMPLE_FACTOR * view_size)
     views: dict[PeerId, RoutingView] = {}
     for pid in peer_ids:
-        others = [q for q in ordered if q != pid]
+        owner = position[pid]
         rng = derive_rng("view", seed, pid)
-        pool = set(rng.sample(others, min(sample_size, len(others))))
+        picks = rng.sample(range(n - 1), sample_size)
+        pool = {ordered[j + (j >= owner)] for j in picks}
         pool.update(q for q in well_known if q != pid)
         members = nearest_peers(pid, pool, min(view_size, len(pool)))
         views[pid] = RoutingView(owner=pid, known=frozenset(members))

@@ -209,6 +209,9 @@ def bakedeletion(placement: PlacementMap, target_r: int) -> list[DeletionEntry]:
                     held_in_file[(pid, fid)].append(addr)
 
     keep, starved = _cover_keep(chunk_to_peers, files_of, held_in_file, target_r)
+    if starved and len(placement.files) == 1:
+        # for one file the cover search is an exact matching
+        raise InfeasiblePlanError(_no_plan(target_r, starved))
     if starved:
         keep = _exhaustive_keep(placement, target_r, starved)
     _fill_keep(keep, chunk_to_peers, target_r)
@@ -239,6 +242,27 @@ def _cover_keep(
     a plan, hence the exhaustive fallback in the caller.
     """
     keep: dict[Address, set[PeerId]] = {a: set() for a in chunk_to_peers}
+    # every change to keep during one cover call, so that a failed eviction
+    # attempt can be rolled back to the state it started from; only real
+    # changes are logged, so undoing them restores that state exactly
+    undo: list[tuple[set[PeerId], PeerId, bool]] = []
+
+    def put(addr: Address, pid: PeerId) -> None:
+        if pid not in keep[addr]:
+            keep[addr].add(pid)
+            undo.append((keep[addr], pid, True))
+
+    def evict(addr: Address, pid: PeerId) -> None:
+        keep[addr].remove(pid)
+        undo.append((keep[addr], pid, False))
+
+    def rollback(mark: int) -> None:
+        while len(undo) > mark:
+            kept, pid, added = undo.pop()
+            if added:
+                kept.remove(pid)
+            else:
+                kept.add(pid)
 
     def covered(pid: PeerId, fid: str) -> bool:
         return any(pid in keep[a] for a in held_in_file[(pid, fid)])
@@ -251,16 +275,16 @@ def _cover_keep(
         options = sorted(held_in_file[(pid, fid)], key=lambda a: (len(keep[a]), a))
         for addr in options:
             if len(keep[addr]) < target_r:
-                keep[addr].add(pid)
+                put(addr, pid)
                 return True
         for addr in options:
             for out in sorted(keep[addr]):
                 if (addr, out) in visited:
                     continue
                 visited.add((addr, out))
-                saved = {a: set(s) for a, s in keep.items()}
-                keep[addr].remove(out)
-                keep[addr].add(pid)
+                mark = len(undo)
+                evict(addr, out)
+                put(addr, pid)
                 orphans = [
                     (out, f)
                     for f in files_of[addr]
@@ -271,14 +295,14 @@ def _cover_keep(
                         break
                 else:
                     return True
-                keep.clear()
-                keep.update(saved)
+                rollback(mark)
         return False
 
     def cover(pid: PeerId, fid: str) -> bool:
         """Drive augment depth-first from an explicit stack of suspended
         searches, each waiting on the orphan it yielded last."""
         visited: set = set()
+        undo.clear()
         stack = [augment(pid, fid, visited)]
         result = None
         while stack:
@@ -359,10 +383,14 @@ def _exhaustive_keep(
         keep = {a: set(c) for a, c in zip(addrs, combo)}
         if not _starved_pairs(placement, keep):
             return keep
-    raise InfeasiblePlanError(
-        f"no keep-assignment satisfies rule A at target {target_r}; "
-        f"e.g. peer {witness_pid.hex()} cannot retain any chunk of file "
-        f"{witness_fid}"
+    raise InfeasiblePlanError(_no_plan(target_r, starved))
+
+
+def _no_plan(target_r: int, starved: list[tuple[PeerId, str]]) -> str:
+    pid, fid = starved[0]
+    return (
+        f"no plan exists (rule A) at target {target_r}; e.g. peer "
+        f"{pid.hex()} cannot retain any chunk of file {fid}"
     )
 
 

@@ -217,6 +217,15 @@ class TestManifestText:
         with pytest.raises(ValueError, match="filesize"):
             parse_manifest_text("0" * 64 + "\n")
 
+    @pytest.mark.parametrize("line", ["chunk_size=1024", "filsize=9", "k_=3"])
+    def test_rejects_unknown_keys(self, line):
+        data = seeded_bytes(5000, "unknown")
+        manifest, _ = build_tree(split_file(data, ChunkParams()), ChunkParams())
+        text = manifest_text(manifest).replace("\n", f"\n{line}\n", 1)
+        key = line.partition("=")[0]
+        with pytest.raises(ValueError, match=f"unknown manifest key '{key}'"):
+            parse_manifest_text(text)
+
     def test_parse_address_validates_length(self):
         with pytest.raises(ValueError, match="64 hex"):
             parse_address("abcd")

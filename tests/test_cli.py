@@ -300,6 +300,18 @@ class TestExperiment:
         rows = (out_dir / "availability.csv").read_text().splitlines()
         assert len(rows) == 1 + 4
 
+    def test_unknown_config_key_is_rejected(self, tmp_path):
+        config = tmp_path / "sweep.txt"
+        config.write_text(
+            "peers=20\nseed=5\nview_size=8\nfile_sizes=40000\n"
+            "min_degree=1\nfraction=0.5\nitertions=3\n"
+        )
+        out_dir = tmp_path / "results"
+        code, out, err = cli("experiment", "--config", config, "--out", out_dir)
+        assert code == EX_USAGE
+        assert "'fraction'" in err
+        assert not out_dir.exists()
+
 
 class TestPipeCompose:
     """Chaining the CLI stages reproduces the in-process pipeline."""

@@ -336,6 +336,16 @@ out=resdir
                 "peers=10\nfile_sizes=5000\nmin_degree=1\nk=3\n"
             )
 
+    def test_rejects_unknown_keys(self):
+        with pytest.raises(ValueError, match="unknown experiment config key 'itertions'"):
+            parse_experiment_config(
+                "peers=10\nfile_sizes=5000\nmin_degree=1\nfractions=0.5\nitertions=3\n"
+            )
+        with pytest.raises(ValueError, match="unknown experiment config key 'fraction'"):
+            parse_experiment_config(
+                "peers=10\nfile_sizes=5000\nmin_degree=1\nfraction=0.5\n"
+            )
+
     def test_malformed_line(self):
         with pytest.raises(ValueError, match="malformed"):
             parse_experiment_config("peers=10\nfile_sizes=5000\nmin_degree=1\nbogus\n")

@@ -186,6 +186,17 @@ class TestBakedeletion:
         with pytest.raises(InfeasiblePlanError, match="rule A"):
             bakedeletion(placement, 1)
 
+    def test_single_file_infeasible_instance_has_no_plan(self):
+        # P1 and P2 hold only C1, which keeps one replica; the 20 chunks
+        # three other peers share make exhaustive search far too large, but
+        # for one file the cover search alone is exact
+        shared = [bytes([0x40 + i]) * 32 for i in range(20)]
+        others = {bytes([0x70 + i]) * 32 for i in range(3)}
+        chunk_to_peers = {C1: {P1, P2}} | {c: set(others) for c in shared}
+        placement = PlacementMap(chunk_to_peers, files={"f": (C1, *shared)})
+        with pytest.raises(InfeasiblePlanError, match=r"no plan exists \(rule A\)"):
+            bakedeletion(placement, 1)
+
     def test_under_replicated_chunk_rejected(self):
         placement = PlacementMap(
             chunk_to_peers={C1: {P1}, C2: {P1, P2}}, files={"f": (C1, C2)}
