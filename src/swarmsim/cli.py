@@ -80,11 +80,13 @@ def _build_parser() -> _Parser:
     p.add_argument("--file", required=True, help="input file path")
     p.add_argument("--state", required=True, help="network state directory")
     p.add_argument("--out", help="write the manifest to this path")
-    p.add_argument("--peers", type=int, help="peer count for a fresh network")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--view-size", type=int, default=16)
-    p.add_argument("--ns", type=int, default=4)
-    p.add_argument("--backends", type=int, default=29)
+    # network flags: they build a fresh network (unset ones take SimConfig's
+    # defaults) and must match the network of an existing state
+    p.add_argument("--peers", type=int, help="peer count, required for a fresh network")
+    p.add_argument("--seed", type=int, help="network seed")
+    p.add_argument("--view-size", type=int, help="routing view size")
+    p.add_argument("--ns", type=int, help="neighbourhood size")
+    p.add_argument("--backends", type=int, help="backend count")
     p.add_argument("--no-sync", action="store_true",
                    help="upload without the pull round")
     p.add_argument("--chunk-size", type=int, default=4096)
@@ -150,27 +152,37 @@ def _save_network(network: Network, state: str) -> None:
     save_snapshot(network.snapshot(), state)
 
 
+# upload's network flags, by the SimConfig field each one sets
+_NETWORK_FLAGS = {
+    "peers": "num_peers", "seed": "seed", "view_size": "view_size",
+    "ns": "ns", "backends": "num_backends",
+}
+
+
 def _cmd_upload(args, stdout) -> int:
     if (args.k is None) != (args.n is None):
         raise UsageError("--k and --n must be given together")
     data = Path(args.file).read_bytes()
-    state = Path(args.state)
-    if (state / "manifest.txt").is_file():
+    given = {
+        name: getattr(args, flag)
+        for flag, name in _NETWORK_FLAGS.items()
+        if getattr(args, flag) is not None
+    }
+    sync_mode = SYNC_NONE if args.no_sync else SYNC_FULL
+    if (Path(args.state) / "manifest.txt").is_file():
         network = _load_network(args.state)
-        network.sync_mode = SYNC_NONE if args.no_sync else SYNC_FULL
+        for flag, name in _NETWORK_FLAGS.items():
+            held = getattr(network.config, name)
+            if name in given and given[name] != held:
+                raise UsageError(
+                    f"--{flag.replace('_', '-')} {given[name]} disagrees with "
+                    f"the state's {held}"
+                )
+        network.sync_mode = sync_mode
     else:
         if args.peers is None:
             raise UsageError("--peers is required for a fresh network")
-        network = spawn_network(
-            SimConfig(
-                num_peers=args.peers,
-                seed=args.seed,
-                view_size=args.view_size,
-                ns=args.ns,
-                sync_mode=SYNC_NONE if args.no_sync else SYNC_FULL,
-                num_backends=args.backends,
-            )
-        )
+        network = spawn_network(SimConfig(sync_mode=sync_mode, **given))
     coding = CodingParams(k=args.k, n=args.n) if args.k is not None else None
     params = ChunkParams(chunk_size=args.chunk_size, branching=args.branching)
     manifest = network.upload(data, params, coding)

@@ -277,6 +277,21 @@ def group_data_lengths(encoded: EncodedManifest) -> list[list[int]]:
     return out
 
 
+def address_lengths(manifest: FileManifest | EncodedManifest) -> dict[Address, int]:
+    """Payload length of every address of a file, from the tree geometry; a
+    parity chunk is as long as the longest data chunk of its group."""
+    base = base_manifest(manifest)
+    lengths = {
+        addr: size
+        for level, row in zip(base.levels, level_payload_lengths(base))
+        for addr, size in zip(level, row)
+    }
+    if isinstance(manifest, EncodedManifest):
+        for group, data_lengths in zip(manifest.groups, group_data_lengths(manifest)):
+            lengths.update(dict.fromkeys(group.parity_addresses, max(data_lengths)))
+    return lengths
+
+
 def repair_retrieve(
     root: Address,
     fetch: Callable[[Address], Optional[bytes]],
@@ -350,8 +365,13 @@ def repair_retrieve(
     return reassemble(root, resolve, encoded.base.params, encoded.base.file_size)
 
 
+def base_manifest(manifest: FileManifest | EncodedManifest) -> FileManifest:
+    """The plain tree manifest of either flavour."""
+    return manifest.base if isinstance(manifest, EncodedManifest) else manifest
+
+
 def manifest_root(manifest: FileManifest | EncodedManifest) -> Address:
-    return manifest.root if isinstance(manifest, FileManifest) else manifest.base.root
+    return base_manifest(manifest).root
 
 
 def manifest_text(manifest: FileManifest | EncodedManifest) -> str:
@@ -360,7 +380,7 @@ def manifest_text(manifest: FileManifest | EncodedManifest) -> str:
     if encoded, one line of space-separated addresses per level (leaves
     first), then one group line per coding group."""
     encoded = isinstance(manifest, EncodedManifest)
-    base = manifest.base if encoded else manifest
+    base = base_manifest(manifest)
     lines = [f"filesize={base.file_size}", f"branching={base.params.branching}"]
     if base.params.chunk_size != ChunkParams.chunk_size:
         lines.append(f"chunksize={base.params.chunk_size}")

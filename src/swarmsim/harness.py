@@ -18,15 +18,15 @@ from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
-from .chunker import (
-    Address,
-    ChunkParams,
-    FileManifest,
-    build_tree,
-    level_payload_lengths,
-    split_file,
+from .chunker import Address, ChunkParams, FileManifest, build_tree, split_file
+from .codec import (
+    CodingParams,
+    EncodedManifest,
+    address_lengths,
+    base_manifest,
+    encode_tree,
+    manifest_root,
 )
-from .codec import CodingParams, EncodedManifest, encode_tree, group_data_lengths, manifest_root
 from .errors import InfeasiblePlanError, SwarmSimError
 from .netsim import Network, SimConfig, Snapshot, SYNC_NONE, spawn_network
 from .overlay import PeerId
@@ -216,24 +216,6 @@ def prepare(network: Network, config: ExperimentConfig) -> PrepareResult:
     )
 
 
-def _address_lengths(
-    manifest: FileManifest | EncodedManifest,
-) -> dict[Address, int]:
-    if isinstance(manifest, EncodedManifest):
-        base = manifest.base
-    else:
-        base = manifest
-    lengths: dict[Address, int] = {}
-    for level, row in zip(base.levels, level_payload_lengths(base)):
-        for addr, size in zip(level, row):
-            lengths[addr] = size
-    if isinstance(manifest, EncodedManifest):
-        for group, data_lengths in zip(manifest.groups, group_data_lengths(manifest)):
-            for addr in group.parity_addresses:
-                lengths[addr] = max(data_lengths)
-    return lengths
-
-
 def _file_overheads(
     snapshot: Snapshot, manifests: list[FileManifest | EncodedManifest]
 ) -> dict[str, float]:
@@ -243,10 +225,8 @@ def _file_overheads(
         counts.update(store.keys())
     overheads: dict[str, float] = {}
     for manifest in manifests:
-        lengths = _address_lengths(manifest)
-        stored = sum(counts[a] * n for a, n in lengths.items())
-        base = manifest.base if isinstance(manifest, EncodedManifest) else manifest
-        overheads[manifest_root(manifest).hex()] = stored / base.file_size
+        stored = sum(counts[a] * n for a, n in address_lengths(manifest).items())
+        overheads[manifest_root(manifest).hex()] = stored / base_manifest(manifest).file_size
     return overheads
 
 

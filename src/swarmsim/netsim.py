@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import shutil
+from array import array
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable
@@ -32,7 +33,15 @@ from .errors import (
     SnapshotMismatchError,
     SwarmSimError,
 )
-from .overlay import PeerId, RoutingView, build_views, make_peer_ids, responsible_peers
+from .overlay import (
+    PeerId,
+    RoutingView,
+    build_views,
+    clamp_view_size,
+    count_nearer,
+    make_peer_ids,
+    responsible_peers,
+)
 from .seeds import derive_rng
 
 SYNC_FULL = "full"
@@ -96,8 +105,25 @@ class Snapshot:
     digest: str
 
 
-# live peer ints, and address -> live holders
+# live peer ints ascending, and address -> live holders
 LookupIndex = tuple[list[int], dict[Address, list[PeerId]]]
+
+
+@functools.lru_cache(maxsize=16)
+def _view_rows(num_peers: int, seed: int, view_size: int) -> memoryview:
+    """Every peer's view members as peer indices, peer i's row being items
+    i * view_size to (i + 1) * view_size. view_size must already be clamped,
+    so every row is full. Views depend on these three values alone, so one
+    build serves every network of a config in the process; the rows are
+    kept as a flat array of ints, not as views, to keep the cache small,
+    and handed out read-only because every caller shares them."""
+    peer_ids = make_peer_ids(num_peers, seed)
+    index = {pid: i for i, pid in enumerate(peer_ids)}
+    views = build_views(peer_ids, view_size, seed)
+    rows = array("I")
+    for pid in peer_ids:
+        rows.extend([index[q] for q in views[pid].known])
+    return memoryview(rows).toreadonly()
 
 
 def backend_assignment(num_peers: int, num_backends: int) -> list[int]:
@@ -118,14 +144,17 @@ class Network:
         }
         self.failed: set[PeerId] = set()
         self.sync_mode = config.sync_mode
-        self._ints = {pid: int.from_bytes(pid, "big") for pid in self.peer_ids}
-        self.views: dict[PeerId, RoutingView] = build_views(
-            self.peer_ids, config.view_size, config.seed
-        )
-        self._view_ints = {
-            pid: [self._ints[q] for q in view.known]
-            for pid, view in self.views.items()
-        }
+        ints = [int.from_bytes(pid, "big") for pid in self.peer_ids]
+        self._ints = dict(zip(self.peer_ids, ints))
+        width = clamp_view_size(config.view_size, config.num_peers)
+        rows = _view_rows(config.num_peers, config.seed, width)
+        self.views: dict[PeerId, RoutingView] = {}
+        self._view_ints: dict[PeerId, list[int]] = {}
+        for i, pid in enumerate(self.peer_ids):
+            row = rows[i * width : (i + 1) * width]
+            known = frozenset([self.peer_ids[j] for j in row])
+            self.views[pid] = RoutingView(owner=pid, known=known)
+            self._view_ints[pid] = [ints[j] for j in row]
 
     # -- routing ---------------------------------------------------------
 
@@ -152,10 +181,10 @@ class Network:
             path.append(current)
 
     def _lookup_index(self) -> LookupIndex:
-        """Every live peer's id as an int, and each address the live peers
-        hold mapped to its live holders, from one pass over the live stores.
-        Retrieval never writes a store or changes failures, so one index
-        serves a whole retrieve call."""
+        """Every live peer's id as an int, ascending, and each address the
+        live peers hold mapped to its live holders, from one pass over the
+        live stores. Retrieval never writes a store or changes failures, so
+        one index serves a whole retrieve call."""
         live: list[int] = []
         holders: dict[Address, list[PeerId]] = {}
         for pid in self.peer_ids:
@@ -164,6 +193,7 @@ class Network:
             live.append(self._ints[pid])
             for addr in self.stores[pid]:
                 holders.setdefault(addr, []).append(pid)
+        live.sort()
         return live, holders
 
     def _locate(
@@ -183,7 +213,8 @@ class Network:
         far missed, so the walk would end at the live holder nearest addr
         after probing each unseen live peer nearer than it (distances to one
         address are distinct), or probe every unseen live peer and miss when
-        no live peer holds addr.
+        no live peer holds addr. count_nearer bisects the sorted live ints
+        for the first count.
         """
         probes = 0
         seen: set[PeerId] = set()
@@ -217,7 +248,7 @@ class Network:
         a = int.from_bytes(addr, "big")
         nearest = min(found, key=lambda pid: a ^ self._ints[pid])
         d = a ^ self._ints[nearest]
-        nearer = len([x for x in live if a ^ x < d]) - len(
+        nearer = count_nearer(live, a, d) - len(
             [pid for pid in seen if a ^ self._ints[pid] < d]
         )
         return self.stores[nearest][addr], probes + nearer + 1

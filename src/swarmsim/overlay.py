@@ -13,6 +13,7 @@ average, which is what spreads replica counts apart.
 from __future__ import annotations
 
 import warnings
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from .seeds import derive_bytes, derive_rng
@@ -22,6 +23,8 @@ PeerId = bytes
 # candidate pool sizing for view construction
 _WELL_KNOWN_COUNT = 8
 _SAMPLE_FACTOR = 3
+# count_nearer compares ids one by one once its range is this small
+_DIRECT_COUNT = 8
 
 
 def xor_distance(a: bytes, b: bytes) -> int:
@@ -50,6 +53,38 @@ def nearest_peers(target: bytes, candidates, m: int) -> list[PeerId]:
     return pool[:m]
 
 
+def count_nearer(ordered: list[int], target: int, d: int) -> int:
+    """How many ids in ordered, ascending non-negative ints, lie at XOR
+    distance below d from target.
+
+    x ^ target < d exactly when x agrees with target ^ d above some bit
+    where d is set and agrees with target at that bit. Among sorted ids each
+    such set is one contiguous range, so the walk follows the range of ids
+    sharing the top bits of target ^ d, bisecting once per bit and adding
+    the sibling range at every set bit of d. When d is the distance to an id
+    in ordered, that id matches every bit and the range never empties, so
+    once it is small its ids are compared directly instead of walking the
+    remaining bits.
+    """
+    m = target ^ d
+    lo, hi = 0, len(ordered)
+    count = 0
+    top = ordered[-1] if ordered else 0
+    bit = max(target.bit_length(), d.bit_length(), top.bit_length())
+    while hi - lo > _DIRECT_COUNT and bit > 0:
+        bit -= 1
+        split = bisect_left(ordered, (m >> bit | 1) << bit, lo, hi)
+        if m >> bit & 1:
+            if d >> bit & 1:
+                count += split - lo
+            lo = split
+        else:
+            if d >> bit & 1:
+                count += hi - split
+            hi = split
+    return count + len([x for x in ordered[lo:hi] if x ^ target < d])
+
+
 @dataclass(frozen=True)
 class RoutingView:
     """One peer's partial knowledge of the network."""
@@ -76,6 +111,20 @@ def make_peer_ids(num_peers: int, seed: int) -> list[PeerId]:
     return ids
 
 
+def clamp_view_size(view_size: int, n: int) -> int:
+    """view_size capped at n - 1, the most peers a view can hold besides
+    its owner, with a warning when the cap applies."""
+    if view_size < 1:
+        raise ValueError("view_size must be at least 1")
+    if view_size >= n:
+        warnings.warn(
+            f"view_size {view_size} >= peer count {n}; clamping to {n - 1}",
+            stacklevel=3,
+        )
+        return n - 1
+    return view_size
+
+
 def build_views(
     peer_ids: list[PeerId], view_size: int, seed: int
 ) -> dict[PeerId, RoutingView]:
@@ -91,14 +140,7 @@ def build_views(
     n = len(peer_ids)
     if n < 2:
         raise ValueError("need at least two peers to build views")
-    if view_size < 1:
-        raise ValueError("view_size must be at least 1")
-    if view_size >= n:
-        warnings.warn(
-            f"view_size {view_size} >= peer count {n}; clamping to {n - 1}",
-            stacklevel=2,
-        )
-        view_size = n - 1
+    view_size = clamp_view_size(view_size, n)
 
     ordered = sorted(peer_ids)
     position = {pid: i for i, pid in enumerate(ordered)}

@@ -25,7 +25,7 @@ from math import prod
 from typing import Iterable, Sequence
 
 from .chunker import Address, FileManifest, parse_address
-from .codec import EncodedManifest
+from .codec import EncodedManifest, base_manifest
 from .errors import (
     InfeasiblePlanError,
     MissingChunkError,
@@ -87,11 +87,8 @@ def listchunks(
     unreachable chunk raises); without it the walk is derived from the
     manifest levels.
     """
-    if isinstance(manifest, EncodedManifest):
-        base = manifest.base
-        extra = [a for g in manifest.groups for a in g.parity_addresses]
-    else:
-        base, extra = manifest, []
+    base = base_manifest(manifest)
+    groups = manifest.groups if isinstance(manifest, EncodedManifest) else ()
 
     order: list[Address] = []
     seen: set[Address] = set()
@@ -129,8 +126,9 @@ def listchunks(
 
         walk_fetch(base.root, depth - 1)
 
-    for addr in extra:
-        visit(addr)
+    for group in groups:
+        for addr in group.parity_addresses:
+            visit(addr)
     return order
 
 

@@ -1,4 +1,5 @@
 import io
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -79,6 +80,32 @@ class TestExitCodes:
         )
         assert code == EX_USAGE
         assert "--peers" in err
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--peers", 13), ("--seed", 4), ("--view-size", 7), ("--ns", 5), ("--backends", 3)],
+    )
+    def test_upload_to_existing_state_rejects_another_network(
+        self, tmp_path, state, flag, value
+    ):
+        state_dir = tmp_path / "net"
+        shutil.copytree(state["dir"], state_dir)
+        before = dir_bytes(state_dir)
+        code, out, err = cli(
+            "upload", "--file", state["source"], "--state", state_dir, flag, value
+        )
+        assert code == EX_USAGE
+        assert flag in err and out == ""
+        assert dir_bytes(state_dir) == before
+
+    def test_upload_to_existing_state_accepts_its_own_network(self, tmp_path, state):
+        state_dir = tmp_path / "net"
+        shutil.copytree(state["dir"], state_dir)
+        code, _, err = cli(
+            "upload", "--file", state["source"], "--state", state_dir,
+            "--peers", 12, "--seed", 3, "--view-size", 6, "--ns", 4, "--backends", 29,
+        )
+        assert code == EX_OK, err
 
     def test_k_without_n(self, tmp_path, state):
         code, _, err = cli(

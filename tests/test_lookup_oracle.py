@@ -1,19 +1,23 @@
 """The counted last lookup phase and the index-sampled views against the
 sorted walk and the copy-per-peer views they replace, kept here as
-reference implementations."""
+reference implementations; the bisected count against a direct count; and
+the per-config view cache against build_views."""
 
+import random
 import warnings
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from swarmsim.chunker import ChunkParams
 from swarmsim.codec import CodingParams
 from swarmsim.harness import ExperimentConfig, prepare
-from swarmsim.netsim import Network, SimConfig, spawn_network
+from swarmsim.netsim import Network, SimConfig, _view_rows, spawn_network
 from swarmsim.overlay import (
     RoutingView,
     build_views,
+    count_nearer,
     make_peer_ids,
     nearest_peers,
     responsible_peers,
@@ -170,6 +174,50 @@ class TestCountedLookup:
             assert all(stats.success for _, stats in got)
 
 
+def direct_count(live, a, d):
+    return len([x for x in live if a ^ x < d])
+
+
+class TestCountNearer:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_the_direct_count(self, data):
+        bits = data.draw(st.sampled_from([8, 16, 256]))
+        ids = st.integers(0, 2**bits - 1)
+        live = sorted(data.draw(st.sets(ids, max_size=120)))
+        a = data.draw(ids)
+        d = data.draw(
+            st.one_of(
+                st.just(0),
+                ids,
+                st.sampled_from(live).map(lambda x: a ^ x) if live else st.just(1),
+            )
+        )
+        assert count_nearer(live, a, d) == direct_count(live, a, d)
+
+    @pytest.mark.parametrize("bits", [8, 16, 256])
+    def test_edge_cases(self, bits):
+        rng = random.Random(bits)
+        live = sorted({rng.getrandbits(bits) for _ in range(300)})
+        a = rng.getrandbits(bits)
+        assert count_nearer([], a, 0) == count_nearer([], a, 2**bits - 1) == 0
+        assert count_nearer(live, a, 0) == 0
+        assert count_nearer(live, a, 2**bits) == len(live)
+        for x in live:  # d from every holder, the target itself included
+            for target in (a, x):
+                d = target ^ x
+                assert count_nearer(live, target, d) == direct_count(live, target, d)
+
+    def test_450_live_256_bit_ids(self):
+        """450 live 256-bit ids, as in a 500-peer sweep at 10% failed."""
+        rng = random.Random(7)
+        live = sorted(rng.getrandbits(256) for _ in range(450))
+        for _ in range(500):
+            a = rng.getrandbits(256)
+            d = a ^ rng.choice(live)
+            assert count_nearer(live, a, d) == direct_count(live, a, d)
+
+
 # -- views --------------------------------------------------------------------
 
 
@@ -194,3 +242,50 @@ class TestViews:
             nearest_peers(target, [bytes([1]) * 32, bytes([2]) * 31], 1)
         with pytest.raises(ValueError, match="equal length"):
             nearest_peers(bytes(31), [bytes([1]) * 32], 1)
+
+
+class TestViewsOncePerConfig:
+    @pytest.mark.parametrize("n", [2, 3, 17, 200])
+    @pytest.mark.parametrize("view_size", [1, 4, 16, 200, 500])
+    def test_spawned_views_match_build_views(self, n, view_size):
+        cfg = SimConfig(num_peers=n, seed=n + 1, view_size=view_size)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            expected = build_views(make_peer_ids(n, n + 1), view_size, n + 1)
+            _view_rows.cache_clear()
+            nets = [spawn_network(cfg), spawn_network(cfg)]  # a miss, then a hit
+        for net in nets:
+            assert net.views == expected
+            assert {pid: sorted(v) for pid, v in net._view_ints.items()} == {
+                pid: sorted(int.from_bytes(q, "big") for q in view.known)
+                for pid, view in expected.items()
+            }
+
+    def test_clamp_warning_fires_on_every_spawn(self):
+        cfg = SimConfig(num_peers=5, seed=11, view_size=16)
+        _view_rows.cache_clear()
+        for _ in range(2):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                spawn_network(cfg)
+            assert [str(w.message) for w in caught] == [
+                "view_size 16 >= peer count 5; clamping to 4"
+            ]
+
+    def test_networks_of_one_config_share_no_mutable_state(self):
+        cfg = SimConfig(num_peers=40, seed=12, view_size=6)
+        a, b = spawn_network(cfg), spawn_network(cfg)
+        for attr in ("views", "_view_ints", "_ints", "stores", "peer_ids",
+                     "peer_index", "backends", "failed"):
+            assert getattr(a, attr) is not getattr(b, attr), attr
+        for pid in a.peer_ids:
+            assert a._view_ints[pid] is not b._view_ints[pid]
+            assert a.stores[pid] is not b.stores[pid]
+        expected = spawn_network(cfg).views
+        a._view_ints[a.peer_ids[0]].clear()
+        a.views.clear()
+        a.stores[a.peer_ids[0]][b"x" * 32] = b"x"
+        c = spawn_network(cfg)
+        assert b.views == c.views == expected
+        assert all(len(v) == 6 for v in c._view_ints.values())
+        assert not any(c.stores.values()) and not any(b.stores.values())
