@@ -40,6 +40,6 @@ distinct = {view.known for view in views.values()}
 print("distinct views among 200 peers:", len(distinct))
 
 target = peers[50]
-hoods = {responsible_peers(target, views[p], 4).members for p in peers[:20]}
+hoods = {responsible_peers(target, views[p], 4) for p in peers[:20]}
 print("neighborhoods for one address, judged by 20 peers:",
       len(hoods), "different answers")

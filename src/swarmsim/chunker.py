@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Container, Iterable, Optional
 
 from .errors import MalformedChunkError, MissingChunkError
 
@@ -189,3 +189,21 @@ def parse_address(token: str) -> Address:
     if len(token) != 2 * ADDRESS_SIZE:
         raise ValueError(f"bad address {token!r}: expected 64 hex characters")
     return bytes.fromhex(token)
+
+
+def parse_keys(lines: Iterable[str], allowed: Container[str], what: str) -> dict[str, str]:
+    """Read key=value lines, stripping keys and values. A line without '=',
+    a key outside allowed and a key given twice are each rejected, naming
+    the line or key, so no setting is silently dropped or overridden."""
+    keys: dict[str, str] = {}
+    for line in lines:
+        if "=" not in line:
+            raise ValueError(f"malformed {what} line: {line!r}")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if key not in allowed:
+            raise ValueError(f"unknown {what} key {key!r}")
+        if key in keys:
+            raise ValueError(f"duplicate {what} key {key!r}")
+        keys[key] = value.strip()
+    return keys

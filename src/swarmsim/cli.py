@@ -19,6 +19,7 @@ from .errors import (
     SyncModeError,
 )
 from .harness import (
+    CONFIG_KEYS,
     census,
     emit_reports,
     parse_experiment_config,
@@ -89,8 +90,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--backends", type=int, help="backend count")
     p.add_argument("--no-sync", action="store_true",
                    help="upload without the pull round")
-    p.add_argument("--chunk-size", type=int, default=4096)
-    p.add_argument("--branching", type=int, default=128)
+    p.add_argument("--chunk-size", type=int, help="chunk size in bytes")
+    p.add_argument("--branching", type=int, help="tree branching factor")
     p.add_argument("--k", type=int, help="data chunks per coding group")
     p.add_argument("--n", type=int, help="total chunks per coding group")
 
@@ -152,10 +153,12 @@ def _save_network(network: Network, state: str) -> None:
     save_snapshot(network.snapshot(), state)
 
 
-# upload's network flags, by the SimConfig field each one sets
+# upload's network flags, by the SimConfig field each one sets: the
+# experiment config's network keys, less sync_mode, which is --no-sync here
 _NETWORK_FLAGS = {
-    "peers": "num_peers", "seed": "seed", "view_size": "view_size",
-    "ns": "ns", "backends": "num_backends",
+    key: name
+    for key, (owner, name, _) in CONFIG_KEYS.items()
+    if owner is SimConfig and key != "sync_mode"
 }
 
 
@@ -184,7 +187,11 @@ def _cmd_upload(args, stdout) -> int:
             raise UsageError("--peers is required for a fresh network")
         network = spawn_network(SimConfig(sync_mode=sync_mode, **given))
     coding = CodingParams(k=args.k, n=args.n) if args.k is not None else None
-    params = ChunkParams(chunk_size=args.chunk_size, branching=args.branching)
+    params = ChunkParams(**{
+        name: getattr(args, name)
+        for name in ("chunk_size", "branching")
+        if getattr(args, name) is not None
+    })
     manifest = network.upload(data, params, coding)
     _save_network(network, args.state)
     if args.out:

@@ -26,6 +26,7 @@ from .chunker import (
     content_address,
     level_payload_lengths,
     parse_address,
+    parse_keys,
     reassemble,
     tree_shape,
 )
@@ -138,6 +139,20 @@ def _as_padded_array(payload: bytes, length: int) -> np.ndarray:
     return np.frombuffer(payload, dtype=np.uint8)
 
 
+def _combine(rows: list[list[int]], payloads: list[bytes], length: int) -> list[bytes]:
+    """Each row of GF(256) coefficients applied to the payloads, zero-padded
+    to length: one output payload per row, sum of coefficient * payload."""
+    arrays = [_as_padded_array(p, length) for p in payloads]
+    out = []
+    for row in rows:
+        acc = np.zeros(length, dtype=np.uint8)
+        for coeff, array in zip(row, arrays):
+            if coeff:
+                acc ^= _MUL[coeff][array]
+        out.append(acc.tobytes())
+    return out
+
+
 def rs_encode(data: list[bytes], params: CodingParams) -> list[bytes]:
     """Compute the n - k parity payloads for up to k data payloads.
 
@@ -154,17 +169,7 @@ def rs_encode(data: list[bytes], params: CodingParams) -> list[bytes]:
         return []
     kk = len(data)
     gen = _generator(kk, kk + parity_count)
-    length = max(len(p) for p in data)
-    arrays = [_as_padded_array(p, length) for p in data]
-    parities = []
-    for r in range(kk, kk + parity_count):
-        acc = np.zeros(length, dtype=np.uint8)
-        for j in range(kk):
-            coeff = gen[r][j]
-            if coeff:
-                acc ^= _MUL[coeff][arrays[j]]
-        parities.append(acc.tobytes())
-    return parities
+    return _combine(gen[kk:], data, max(len(p) for p in data))
 
 
 def rs_decode(
@@ -196,21 +201,11 @@ def rs_decode(
     if all(i in symbols for i in range(kk)):
         return [symbols[i][: lengths[i]] for i in range(kk)]
 
-    length = max(lengths)
     gen = _generator(kk, nn)
     chosen = sorted(symbols)[:kk]
-    matrix = [gen[i][:] for i in chosen]
-    inverse = _mat_inv(matrix)
-    arrays = [_as_padded_array(symbols[i], length) for i in chosen]
-    out = []
-    for j in range(kk):
-        acc = np.zeros(length, dtype=np.uint8)
-        for t in range(kk):
-            coeff = inverse[j][t]
-            if coeff:
-                acc ^= _MUL[coeff][arrays[t]]
-        out.append(acc.tobytes()[: lengths[j]])
-    return out
+    inverse = _mat_inv([gen[i][:] for i in chosen])
+    decoded = _combine(inverse, [symbols[i] for i in chosen], max(lengths))
+    return [payload[:n] for payload, n in zip(decoded, lengths)]
 
 
 @dataclass
@@ -400,9 +395,9 @@ _MANIFEST_KEYS = ("filesize", "branching", "chunksize", "k", "n")
 def parse_manifest_text(text: str) -> FileManifest | EncodedManifest:
     """Parse either manifest flavour; k=, n= or group lines mark the encoded
     one. Without a chunksize line the chunk size is 4096. A key the writer
-    never emits is rejected, so a misspelt key cannot fall back to a
-    default."""
-    keys: dict[str, str] = {}
+    never emits, or a key given twice, is rejected, so a misspelt or
+    repeated key cannot fall back to a default or override another."""
+    key_lines: list[str] = []
     levels: list[list[Address]] = []
     group_lines: list[str] = []
     for line in text.splitlines():
@@ -414,12 +409,10 @@ def parse_manifest_text(text: str) -> FileManifest | EncodedManifest:
         elif "=" in line:
             if " " in line:
                 raise ValueError(f"malformed manifest line: {line!r}")
-            key, _, value = line.partition("=")
-            if key not in _MANIFEST_KEYS:
-                raise ValueError(f"unknown manifest key {key!r}")
-            keys[key] = value
+            key_lines.append(line)
         else:
             levels.append([parse_address(tok) for tok in line.split()])
+    keys = parse_keys(key_lines, _MANIFEST_KEYS, "manifest")
     if not levels:
         raise ValueError("manifest has no address levels")
     encoded = bool(group_lines) or "k" in keys or "n" in keys

@@ -14,11 +14,11 @@ wall-clock times.
 from __future__ import annotations
 
 import logging
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 
-from .chunker import Address, ChunkParams, FileManifest, build_tree, split_file
+from .chunker import Address, ChunkParams, FileManifest, build_tree, parse_keys, split_file
 from .codec import (
     CodingParams,
     EncodedManifest,
@@ -28,7 +28,7 @@ from .codec import (
     manifest_root,
 )
 from .errors import InfeasiblePlanError, SwarmSimError
-from .netsim import Network, SimConfig, Snapshot, SYNC_NONE, spawn_network
+from .netsim import Network, RetrievalStats, SimConfig, Snapshot, SYNC_NONE, spawn_network
 from .overlay import PeerId
 from .seeds import derive_int, derive_rng, seeded_bytes
 from .tools import (
@@ -261,21 +261,9 @@ def run_iterations(
                 entry = live[rng.randrange(len(live))]
             for manifest in manifests:
                 fid = manifest_root(manifest).hex()
-                if entry is None:
-                    results.append(
-                        AvailabilityResult(
-                            file=fid,
-                            fraction=fraction,
-                            iteration=iteration,
-                            success=False,
-                            hops=0,
-                            bytes_fetched=0,
-                            repaired_groups=0,
-                            overhead=overheads[fid],
-                        )
-                    )
-                    continue
-                _, stats = network.retrieve(manifest, entry)
+                stats = RetrievalStats()
+                if entry is not None:
+                    _, stats = network.retrieve(manifest, entry)
                 results.append(
                     AvailabilityResult(
                         file=fid,
@@ -337,65 +325,59 @@ def run_experiment(
     return prepared, results, paths
 
 
-_CONFIG_KEYS = (
-    "peers", "file_sizes", "min_degree", "seed", "view_size", "ns", "backends",
-    "sync_mode", "chunk_size", "branching", "k", "n", "target_r", "fractions",
-    "iterations", "out",
-)
+def _numbers(parse):
+    return lambda text: tuple(parse(tok) for tok in text.split(",") if tok)
+
+
+# experiment config key -> (the constructor it goes to, its field there,
+# value parser); a key left out takes that constructor's default
+CONFIG_KEYS = {
+    "peers": (SimConfig, "num_peers", int),
+    "seed": (SimConfig, "seed", int),
+    "view_size": (SimConfig, "view_size", int),
+    "ns": (SimConfig, "ns", int),
+    "backends": (SimConfig, "num_backends", int),
+    "sync_mode": (SimConfig, "sync_mode", str),
+    "chunk_size": (ChunkParams, "chunk_size", int),
+    "branching": (ChunkParams, "branching", int),
+    "k": (CodingParams, "k", int),
+    "n": (CodingParams, "n", int),
+    "file_sizes": (ExperimentConfig, "file_sizes", _numbers(int)),
+    "min_degree": (ExperimentConfig, "min_degree", int),
+    "target_r": (ExperimentConfig, "target_r", int),
+    "fractions": (ExperimentConfig, "fractions", _numbers(float)),
+    "iterations": (ExperimentConfig, "iterations", int),
+    "out": (ExperimentConfig, "outdir", str),
+}
 
 
 def parse_experiment_config(text: str) -> ExperimentConfig:
-    """Parse the key=value experiment file format.
+    """Parse the key=value experiment file format; blank and # lines are
+    skipped.
 
-    Required keys: peers, file_sizes, min_degree. Optional: seed, view_size,
-    ns, backends, sync_mode, chunk_size, branching, k, n, target_r,
-    fractions, iterations, out. k and n must be given together. Any other
-    key is rejected.
+    Required keys: peers, file_sizes, min_degree. The others in CONFIG_KEYS
+    are optional; k and n must be given together. Any other key, and any
+    key given twice, is rejected.
     """
-    keys: dict[str, str] = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"malformed config line: {line!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if key not in _CONFIG_KEYS:
-            raise ValueError(f"unknown experiment config key {key!r}")
-        keys[key] = value.strip()
-
+    lines = [line.strip() for line in text.splitlines()]
+    keys = parse_keys(
+        [line for line in lines if line and not line.startswith("#")],
+        CONFIG_KEYS,
+        "experiment config",
+    )
     for required in ("peers", "file_sizes", "min_degree"):
         if required not in keys:
             raise ValueError(f"experiment config must set {required}")
     if ("k" in keys) != ("n" in keys):
         raise ValueError("k and n must be given together")
 
-    sim = SimConfig(
-        num_peers=int(keys["peers"]),
-        seed=int(keys.get("seed", "0")),
-        view_size=int(keys.get("view_size", "16")),
-        ns=int(keys.get("ns", "4")),
-        sync_mode=keys.get("sync_mode", "full"),
-        num_backends=int(keys.get("backends", "29")),
-    )
-    chunk = ChunkParams(
-        chunk_size=int(keys.get("chunk_size", "4096")),
-        branching=int(keys.get("branching", "128")),
-    )
-    coding = None
-    if "k" in keys:
-        coding = CodingParams(k=int(keys["k"]), n=int(keys["n"]))
+    given: defaultdict[type, dict[str, object]] = defaultdict(dict)
+    for key, value in keys.items():
+        owner, name, parse = CONFIG_KEYS[key]
+        given[owner][name] = parse(value)
     return ExperimentConfig(
-        sim=sim,
-        file_sizes=tuple(int(tok) for tok in keys["file_sizes"].split(",") if tok),
-        chunk=chunk,
-        coding=coding,
-        target_r=int(keys.get("target_r", "1")),
-        fractions=tuple(
-            float(tok) for tok in keys.get("fractions", "0").split(",") if tok
-        ),
-        iterations=int(keys.get("iterations", "1")),
-        min_degree=int(keys["min_degree"]),
-        outdir=keys.get("out", "results"),
+        sim=SimConfig(**given[SimConfig]),
+        chunk=ChunkParams(**given[ChunkParams]),
+        coding=CodingParams(**given[CodingParams]) if "k" in keys else None,
+        **given[ExperimentConfig],
     )

@@ -19,11 +19,11 @@ import functools
 import hashlib
 import shutil
 from array import array
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable
 
-from .chunker import Address, ChunkParams, FileManifest, reassemble, split_file, build_tree
+from .chunker import Address, ChunkParams, FileManifest, build_tree, parse_keys, reassemble, split_file
 from .codec import CodingParams, EncodedManifest, encode_tree, repair_retrieve
 from .errors import (
     ConnectivityError,
@@ -236,8 +236,7 @@ class Network:
             payload = probe(pid)
             if payload is not None:
                 return payload, probes
-        hood = responsible_peers(addr, self.views[path[-1]], self.config.ns)
-        for pid in hood.members:
+        for pid in responsible_peers(addr, self.views[path[-1]], self.config.ns):
             payload = probe(pid)
             if payload is not None:
                 return payload, probes
@@ -285,8 +284,7 @@ class Network:
             path = self.route_path(entry, addr)
             for pid in path:
                 self.stores[pid][addr] = payload
-            hood = responsible_peers(addr, self.views[path[-1]], self.config.ns)
-            for pid in hood.members:
+            for pid in responsible_peers(addr, self.views[path[-1]], self.config.ns):
                 if pid not in self.failed:
                     self.stores[pid][addr] = payload
         if self.sync_mode == SYNC_FULL:
@@ -451,7 +449,8 @@ def _stores_digest(
 
 # -- snapshot disk format ----------------------------------------------------
 #
-# <dir>/manifest.txt            key=value config lines plus census_digest
+# <dir>/manifest.txt            one key=value line per SimConfig field, in
+#                               field order, then census_digest
 # <dir>/backend-<i>/<peer-hex>/<chunk-hex>   raw chunk payloads
 
 
@@ -475,15 +474,8 @@ def save_snapshot(snap: Snapshot, directory: str | Path) -> Path:
         for addr in sorted(snap.stores[pid]):
             (peer_dir / addr.hex()).write_bytes(snap.stores[pid][addr])
 
-    lines = [
-        f"num_peers={cfg.num_peers}",
-        f"seed={cfg.seed}",
-        f"view_size={cfg.view_size}",
-        f"ns={cfg.ns}",
-        f"sync_mode={cfg.sync_mode}",
-        f"num_backends={cfg.num_backends}",
-        f"census_digest={snap.digest}",
-    ]
+    lines = [f"{f.name}={getattr(cfg, f.name)}" for f in fields(SimConfig)]
+    lines.append(f"census_digest={snap.digest}")
     manifest.write_text("\n".join(lines) + "\n")
     return root
 
@@ -495,25 +487,17 @@ def load_snapshot(directory: str | Path) -> Snapshot:
     manifest = root / "manifest.txt"
     if not manifest.is_file():
         raise FileNotFoundError(f"no snapshot manifest at {manifest}")
-    keys: dict[str, str] = {}
-    for line in manifest.read_text().splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        key, _, value = line.partition("=")
-        keys[key] = value
-    try:
-        config = SimConfig(
-            num_peers=int(keys["num_peers"]),
-            seed=int(keys["seed"]),
-            view_size=int(keys["view_size"]),
-            ns=int(keys["ns"]),
-            sync_mode=keys["sync_mode"],
-            num_backends=int(keys["num_backends"]),
-        )
-        recorded_digest = keys["census_digest"]
-    except KeyError as exc:
-        raise ValueError(f"snapshot manifest missing {exc}") from exc
+    names = [f.name for f in fields(SimConfig)] + ["census_digest"]
+    lines = [line for line in manifest.read_text().splitlines() if line.strip()]
+    keys = parse_keys(lines, names, "snapshot manifest")
+    for name in names:
+        if name not in keys:
+            raise ValueError(f"snapshot manifest missing {name!r}")
+    config = SimConfig(**{
+        f.name: int(keys[f.name]) if f.type == "int" else keys[f.name]
+        for f in fields(SimConfig)
+    })
+    recorded_digest = keys["census_digest"]
 
     peer_ids = make_peer_ids(config.num_peers, config.seed)
     assignment = backend_assignment(config.num_peers, config.num_backends)

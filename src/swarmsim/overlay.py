@@ -93,14 +93,6 @@ class RoutingView:
     known: frozenset[PeerId] = field(default_factory=frozenset)
 
 
-@dataclass(frozen=True)
-class Neighborhood:
-    """The ns peers responsible for a chunk, as judged by one view."""
-
-    target: bytes
-    members: tuple[PeerId, ...]
-
-
 def make_peer_ids(num_peers: int, seed: int) -> list[PeerId]:
     """Derive num_peers 32-byte ids deterministically from the seed."""
     if num_peers < 1:
@@ -163,12 +155,12 @@ def build_views(
     return views
 
 
-def responsible_peers(chunk: bytes, view: RoutingView, ns: int) -> Neighborhood:
+def responsible_peers(chunk: bytes, view: RoutingView, ns: int) -> tuple[PeerId, ...]:
     """The chunk's neighborhood as computed from one peer's view: the ns
-    nearest ids among the view members and the owner itself."""
+    nearest ids among the view members and the owner itself, nearest
+    first."""
     if ns < 1:
         raise ValueError("ns must be at least 1")
     candidates = set(view.known)
     candidates.add(view.owner)
-    members = nearest_peers(chunk, candidates, min(ns, len(candidates)))
-    return Neighborhood(target=chunk, members=tuple(members))
+    return tuple(nearest_peers(chunk, candidates, min(ns, len(candidates))))

@@ -226,6 +226,14 @@ class TestManifestText:
         with pytest.raises(ValueError, match=f"unknown manifest key '{key}'"):
             parse_manifest_text(text)
 
+    @pytest.mark.parametrize("key", ["filesize", "branching"])
+    def test_rejects_duplicate_keys(self, key):
+        data = seeded_bytes(5000, "duplicate")
+        manifest, _ = build_tree(split_file(data, ChunkParams()), ChunkParams())
+        text = manifest_text(manifest).replace("\n", f"\n{key}=7\n", 1)
+        with pytest.raises(ValueError, match=f"duplicate manifest key '{key}'"):
+            parse_manifest_text(text)
+
     def test_parse_address_validates_length(self):
         with pytest.raises(ValueError, match="64 hex"):
             parse_address("abcd")

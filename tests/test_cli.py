@@ -162,6 +162,19 @@ class TestExitCodes:
         assert code == EX_USAGE
         assert "out of range" in err
 
+    def test_retrieve_rejects_unknown_state_key(self, tmp_path, state):
+        copy = tmp_path / "net"
+        shutil.copytree(state["dir"], copy)
+        with open(copy / "manifest.txt", "a") as manifest:
+            manifest.write("view-size=8\n")
+        code, _, err = cli(
+            "retrieve", "--state", copy, "--manifest", state["manifest"],
+            "--out", tmp_path / "out.bin", "--entry", 0,
+        )
+        assert code == EX_USAGE
+        assert "'view-size'" in err
+        assert not (tmp_path / "out.bin").exists()
+
     def test_placement_out_needs_manifest(self, tmp_path, state):
         code, _, err = cli(
             "stats", "--state", state["dir"], "--placement-out", tmp_path / "p.txt"

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from swarmsim.chunker import ChunkParams
@@ -345,6 +347,45 @@ out=resdir
             parse_experiment_config(
                 "peers=10\nfile_sizes=5000\nmin_degree=1\nfraction=0.5\n"
             )
+
+    def test_rejects_duplicate_keys(self):
+        with pytest.raises(ValueError, match="duplicate experiment config key 'iterations'"):
+            parse_experiment_config(
+                "peers=10\nfile_sizes=5000\nmin_degree=1\niterations=3\n iterations = 5\n"
+            )
+
+    @pytest.mark.parametrize(
+        "key, path, value, parsed",
+        [
+            ("seed", "sim.seed", "5", 5),
+            ("view_size", "sim.view_size", "9", 9),
+            ("ns", "sim.ns", "3", 3),
+            ("backends", "sim.num_backends", "7", 7),
+            ("sync_mode", "sim.sync_mode", "no_sync", "no_sync"),
+            ("chunk_size", "chunk.chunk_size", "8192", 8192),
+            ("branching", "chunk.branching", "64", 64),
+            ("target_r", "target_r", "3", 3),
+            ("fractions", "fractions", "0.5,1", (0.5, 1.0)),
+            ("iterations", "iterations", "4", 4),
+            ("out", "outdir", "elsewhere", "elsewhere"),
+        ],
+    )
+    def test_optional_key_sets_its_field_or_leaves_its_default(
+        self, key, path, value, parsed
+    ):
+        base = "peers=10\nfile_sizes=5000\nmin_degree=1\n"
+        *owners, name = path.split(".")
+
+        def holder(config):
+            for attr in owners:
+                config = getattr(config, attr)
+            return config
+
+        left_out = holder(parse_experiment_config(base))
+        default = {f.name: f.default for f in dataclasses.fields(left_out)}[name]
+        assert getattr(left_out, name) == default
+        given = holder(parse_experiment_config(f"{base}{key}={value}\n"))
+        assert getattr(given, name) == parsed != default
 
     def test_malformed_line(self):
         with pytest.raises(ValueError, match="malformed"):

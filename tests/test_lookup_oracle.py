@@ -55,8 +55,7 @@ def reference_locate(net, entry, addr):
         payload = probe(pid)
         if payload is not None:
             return payload, probes
-    hood = responsible_peers(addr, net.views[path[-1]], net.config.ns)
-    for pid in hood.members:
+    for pid in responsible_peers(addr, net.views[path[-1]], net.config.ns):
         payload = probe(pid)
         if payload is not None:
             return payload, probes

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swarmsim.chunker import ChunkParams, content_address
 from swarmsim.codec import CodingParams, manifest_root
@@ -338,6 +340,57 @@ class TestDiskSnapshots:
         loaded = network_from_snapshot(load_snapshot(tmp_path / "snap"))
         assert loaded.sync_mode == SYNC_FULL
         assert loaded.census_digest() == net.census_digest()
+
+    @pytest.mark.parametrize(
+        "line, error",
+        [
+            ("view-size=8", "unknown snapshot manifest key 'view-size'"),
+            ("syncmode=no_sync", "unknown snapshot manifest key 'syncmode'"),
+            ("garbage line", "malformed snapshot manifest line: 'garbage line'"),
+            ("seed=3", "duplicate snapshot manifest key 'seed'"),
+        ],
+    )
+    def test_manifest_rejects_a_bad_line_and_names_it(self, tmp_path, line, error):
+        root = save_snapshot(small_net(10, 2, view_size=4).snapshot(), tmp_path / "snap")
+        manifest = root / "manifest.txt"
+        manifest.write_text(manifest.read_text() + line + "\n")
+        with pytest.raises(ValueError, match=error):
+            load_snapshot(root)
+
+    def test_manifest_missing_key_is_named(self, tmp_path):
+        root = save_snapshot(small_net(10, 2, view_size=4).snapshot(), tmp_path / "snap")
+        manifest = root / "manifest.txt"
+        manifest.write_text(manifest.read_text().replace("ns=4\n", ""))
+        with pytest.raises(ValueError, match="snapshot manifest missing 'ns'"):
+            load_snapshot(root)
+
+    @pytest.mark.filterwarnings("ignore:view_size")
+    @settings(max_examples=25, deadline=None)
+    @given(
+        config=st.builds(
+            SimConfig,
+            num_peers=st.integers(2, 12),
+            seed=st.integers(0, 2**64 - 1),
+            view_size=st.integers(1, 16),
+            ns=st.integers(1, 6),
+            sync_mode=st.sampled_from([SYNC_FULL, SYNC_NONE]),
+            num_backends=st.integers(1, 40),
+        )
+    )
+    def test_config_roundtrips_through_the_manifest(self, tmp_path_factory, config):
+        net = spawn_network(config)
+        net.stores[net.peer_ids[-1]][content_address(b"x")] = b"x"
+        snap = net.snapshot()
+        root = save_snapshot(snap, tmp_path_factory.mktemp("snap"))
+        assert (root / "manifest.txt").read_text() == (
+            f"num_peers={config.num_peers}\nseed={config.seed}\n"
+            f"view_size={config.view_size}\nns={config.ns}\n"
+            f"sync_mode={config.sync_mode}\nnum_backends={config.num_backends}\n"
+            f"census_digest={snap.digest}\n"
+        )
+        loaded = load_snapshot(root)
+        assert loaded.config == config
+        assert loaded.stores == snap.stores
 
     def test_save_replaces_stale_snapshot(self, tmp_path):
         net = small_net(10, 2, view_size=4)
