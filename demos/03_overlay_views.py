@@ -11,7 +11,15 @@ follows views, so those peers collect outsized replica counts.
 
 from collections import Counter
 
-from swarmsim import build_views, make_peer_ids, nearest_peers, responsible_peers, xor_distance
+from swarmsim import (
+    SimConfig,
+    build_views,
+    make_peer_ids,
+    nearest_peers,
+    responsible_peers,
+    spawn_network,
+    xor_distance,
+)
 
 peers = make_peer_ids(200, seed=0)
 print("first peer id:", peers[0].hex()[:16], "...")
@@ -40,6 +48,15 @@ distinct = {view.known for view in views.values()}
 print("distinct views among 200 peers:", len(distinct))
 
 target = peers[50]
-hoods = {responsible_peers(target, views[p], 4) for p in peers[:20]}
+hoods = {responsible_peers(target, p, views[p].known, 4) for p in peers[:20]}
 print("neighborhoods for one address, judged by 20 peers:",
       len(hoods), "different answers")
+
+# a network routes over the same views: it keeps them as rows of peer
+# indices shared by every network of its config, and network.views builds
+# the RoutingView form from those rows on first access
+network = spawn_network(SimConfig(num_peers=200, seed=0, view_size=16))
+print("spawned network's views equal build_views:", network.views == views)
+path = network.route_path(peers[0], target)
+print("greedy route from peer0 toward peer50:", len(path) - 1, "hops, ending",
+      "at peer50" if path[-1] == target else "at a local minimum short of it")

@@ -326,7 +326,12 @@ def run_experiment(
 
 
 def _numbers(parse):
-    return lambda text: tuple(parse(tok) for tok in text.split(",") if tok)
+    def numbers(text: str) -> tuple:
+        items = text.split(",")
+        if any(not item.strip() for item in items):
+            raise ValueError(f"empty item in list {text!r}")
+        return tuple(parse(item) for item in items)
+    return numbers
 
 
 # experiment config key -> (the constructor it goes to, its field there,
@@ -356,8 +361,9 @@ def parse_experiment_config(text: str) -> ExperimentConfig:
     skipped.
 
     Required keys: peers, file_sizes, min_degree. The others in CONFIG_KEYS
-    are optional; k and n must be given together. Any other key, and any
-    key given twice, is rejected.
+    are optional; k and n must be given together. Any other key, any key
+    given twice, and a value that does not parse, such as a list with an
+    empty item, is rejected, naming the key.
     """
     lines = [line.strip() for line in text.splitlines()]
     keys = parse_keys(
@@ -374,7 +380,10 @@ def parse_experiment_config(text: str) -> ExperimentConfig:
     given: defaultdict[type, dict[str, object]] = defaultdict(dict)
     for key, value in keys.items():
         owner, name, parse = CONFIG_KEYS[key]
-        given[owner][name] = parse(value)
+        try:
+            given[owner][name] = parse(value)
+        except ValueError as exc:
+            raise ValueError(f"experiment config key {key!r}: {exc}") from None
     return ExperimentConfig(
         sim=SimConfig(**given[SimConfig]),
         chunk=ChunkParams(**given[ChunkParams]),

@@ -18,10 +18,10 @@ from __future__ import annotations
 import functools
 import hashlib
 import shutil
-from array import array
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Callable
+from types import MappingProxyType
+from typing import Callable, Mapping
 
 from .chunker import Address, ChunkParams, FileManifest, build_tree, parse_keys, reassemble, split_file
 from .codec import CodingParams, EncodedManifest, encode_tree, repair_retrieve
@@ -107,23 +107,21 @@ class Snapshot:
 
 # live peer ints ascending, and address -> live holders
 LookupIndex = tuple[list[int], dict[Address, list[PeerId]]]
+# peer ids, the same ids as ints, and each peer's view members as peer indices
+ViewRows = tuple[tuple[PeerId, ...], tuple[int, ...], tuple[tuple[int, ...], ...]]
 
 
 @functools.lru_cache(maxsize=16)
-def _view_rows(num_peers: int, seed: int, view_size: int) -> memoryview:
-    """Every peer's view members as peer indices, peer i's row being items
-    i * view_size to (i + 1) * view_size. view_size must already be clamped,
-    so every row is full. Views depend on these three values alone, so one
-    build serves every network of a config in the process; the rows are
-    kept as a flat array of ints, not as views, to keep the cache small,
-    and handed out read-only because every caller shares them."""
+def _view_rows(num_peers: int, seed: int, view_size: int) -> ViewRows:
+    """Views depend on these three values alone, so one build serves every
+    network of a config in the process; they all share it, so every part is
+    a tuple. view_size must already be clamped."""
     peer_ids = make_peer_ids(num_peers, seed)
     index = {pid: i for i, pid in enumerate(peer_ids)}
     views = build_views(peer_ids, view_size, seed)
-    rows = array("I")
-    for pid in peer_ids:
-        rows.extend([index[q] for q in views[pid].known])
-    return memoryview(rows).toreadonly()
+    rows = tuple(tuple(index[q] for q in views[pid].known) for pid in peer_ids)
+    ints = tuple(int.from_bytes(pid, "big") for pid in peer_ids)
+    return tuple(peer_ids), ints, rows
 
 
 def backend_assignment(num_peers: int, num_backends: int) -> list[int]:
@@ -136,49 +134,51 @@ class Network:
 
     def __init__(self, config: SimConfig):
         self.config = config
-        self.peer_ids = make_peer_ids(config.num_peers, config.seed)
-        self.peer_index = {pid: i for i, pid in enumerate(self.peer_ids)}
-        self.backends = backend_assignment(config.num_peers, config.num_backends)
-        self.stores: dict[PeerId, dict[Address, bytes]] = {
-            pid: {} for pid in self.peer_ids
-        }
+        width = clamp_view_size(config.view_size, config.num_peers)
+        ids, self._ints, self._rows = _view_rows(config.num_peers, config.seed, width)
+        self.peer_ids = list(ids)
+        self.peer_index = {pid: i for i, pid in enumerate(ids)}
+        self.stores: dict[PeerId, dict[Address, bytes]] = {pid: {} for pid in ids}
         self.failed: set[PeerId] = set()
         self.sync_mode = config.sync_mode
-        ints = [int.from_bytes(pid, "big") for pid in self.peer_ids]
-        self._ints = dict(zip(self.peer_ids, ints))
-        width = clamp_view_size(config.view_size, config.num_peers)
-        rows = _view_rows(config.num_peers, config.seed, width)
-        self.views: dict[PeerId, RoutingView] = {}
-        self._view_ints: dict[PeerId, list[int]] = {}
-        for i, pid in enumerate(self.peer_ids):
-            row = rows[i * width : (i + 1) * width]
-            known = frozenset([self.peer_ids[j] for j in row])
-            self.views[pid] = RoutingView(owner=pid, known=known)
-            self._view_ints[pid] = [ints[j] for j in row]
+        self._views: Mapping[PeerId, RoutingView] | None = None
 
     # -- routing ---------------------------------------------------------
+
+    def _neighbourhood(self, addr: Address, pid: PeerId) -> tuple[PeerId, ...]:
+        members = [self.peer_ids[j] for j in self._rows[self.peer_index[pid]]]
+        return responsible_peers(addr, pid, members, self.config.ns)
+
+    @property
+    def views(self) -> Mapping[PeerId, RoutingView]:
+        """build_views' result for this config, read-only, built on first use."""
+        if self._views is None:
+            self._views = MappingProxyType({
+                pid: RoutingView(owner=pid, known=frozenset([self.peer_ids[j] for j in row]))
+                for pid, row in zip(self.peer_ids, self._rows)
+            })
+        return self._views
 
     def route_path(self, entry: PeerId, target: Address) -> list[PeerId]:
         """Greedy route from entry toward target over live peers. Every hop
         strictly decreases XOR distance; the walk stops at a local minimum."""
-        if entry not in self.peer_index:
+        i = self.peer_index.get(entry)
+        if i is None:
             raise ValueError("unknown entry peer")
+        ids, ints, failed = self.peer_ids, self._ints, self.failed
         t = int.from_bytes(target, "big")
-        current = entry
         path = [entry]
+        best_d = t ^ ints[i]
         while True:
-            best = None
-            best_d = t ^ self._ints[current]
-            for q in self.views[current].known:
-                if q in self.failed:
-                    continue
-                d = t ^ self._ints[q]
-                if d < best_d:
-                    best, best_d = q, d
-            if best is None:
+            best = -1
+            for j in self._rows[i]:
+                d = t ^ ints[j]
+                if d < best_d and ids[j] not in failed:
+                    best, best_d = j, d
+            if best < 0:
                 return path
-            current = best
-            path.append(current)
+            i = best
+            path.append(ids[i])
 
     def _lookup_index(self) -> LookupIndex:
         """Every live peer's id as an int, ascending, and each address the
@@ -187,10 +187,10 @@ class Network:
         one index serves a whole retrieve call."""
         live: list[int] = []
         holders: dict[Address, list[PeerId]] = {}
-        for pid in self.peer_ids:
+        for i, pid in enumerate(self.peer_ids):
             if pid in self.failed:
                 continue
-            live.append(self._ints[pid])
+            live.append(self._ints[i])
             for addr in self.stores[pid]:
                 holders.setdefault(addr, []).append(pid)
         live.sort()
@@ -236,7 +236,7 @@ class Network:
             payload = probe(pid)
             if payload is not None:
                 return payload, probes
-        for pid in responsible_peers(addr, self.views[path[-1]], self.config.ns):
+        for pid in self._neighbourhood(addr, path[-1]):
             payload = probe(pid)
             if payload is not None:
                 return payload, probes
@@ -245,11 +245,10 @@ class Network:
         if not found:
             return None, probes + len(live) - len(seen)
         a = int.from_bytes(addr, "big")
-        nearest = min(found, key=lambda pid: a ^ self._ints[pid])
-        d = a ^ self._ints[nearest]
-        nearer = count_nearer(live, a, d) - len(
-            [pid for pid in seen if a ^ self._ints[pid] < d]
-        )
+        ints, at = self._ints, self.peer_index
+        nearest = min(found, key=lambda pid: a ^ ints[at[pid]])
+        d = a ^ ints[at[nearest]]
+        nearer = count_nearer(live, a, d) - len([p for p in seen if a ^ ints[at[p]] < d])
         return self.stores[nearest][addr], probes + nearer + 1
 
     # -- upload / retrieve -------------------------------------------------
@@ -284,7 +283,7 @@ class Network:
             path = self.route_path(entry, addr)
             for pid in path:
                 self.stores[pid][addr] = payload
-            for pid in responsible_peers(addr, self.views[path[-1]], self.config.ns):
+            for pid in self._neighbourhood(addr, path[-1]):
                 if pid not in self.failed:
                     self.stores[pid][addr] = payload
         if self.sync_mode == SYNC_FULL:
@@ -297,11 +296,11 @@ class Network:
             (addr, payload, int.from_bytes(addr, "big"))
             for addr, payload in chunks.items()
         ]
-        for pid in self.peer_ids:
+        for i, pid in enumerate(self.peer_ids):
             if pid in self.failed:
                 continue
-            own = self._ints[pid]
-            vints = self._view_ints[pid]
+            own = self._ints[i]
+            vints = [self._ints[j] for j in self._rows[i]]
             store = self.stores[pid]
             for addr, payload, a in items:
                 mine = a ^ own
@@ -418,7 +417,7 @@ class Network:
                 f"min_degree {min_degree} cannot be met by "
                 f"{len(self.peer_ids)} peers"
             )
-        degrees = [len(self.views[pid].known) for pid in self.peer_ids]
+        degrees = [len(row) for row in self._rows]
         if min(degrees) < min_degree:
             raise ConnectivityError(
                 f"connectivity below min_degree {min_degree}: "

@@ -15,6 +15,7 @@ from __future__ import annotations
 import warnings
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from .seeds import derive_bytes, derive_rng
 
@@ -155,12 +156,11 @@ def build_views(
     return views
 
 
-def responsible_peers(chunk: bytes, view: RoutingView, ns: int) -> tuple[PeerId, ...]:
+def responsible_peers(chunk: bytes, owner: PeerId, members: Iterable[PeerId],
+                      ns: int) -> tuple[PeerId, ...]:
     """The chunk's neighborhood as computed from one peer's view: the ns
-    nearest ids among the view members and the owner itself, nearest
-    first."""
+    nearest ids among the owner and its view members, nearest first."""
     if ns < 1:
         raise ValueError("ns must be at least 1")
-    candidates = set(view.known)
-    candidates.add(view.owner)
+    candidates = {owner, *members}
     return tuple(nearest_peers(chunk, candidates, min(ns, len(candidates))))

@@ -527,6 +527,8 @@ def placement_to_text(placement: PlacementMap) -> str:
 
 
 def placement_from_text(text: str) -> PlacementMap:
+    """Parse placement_to_text's format. A repeated chunk or file line, and a
+    file naming a chunk without a holder line, are rejected."""
     chunk_to_peers: dict[Address, set[PeerId]] = {}
     files: dict[str, tuple[Address, ...]] = {}
     for line in text.splitlines():
@@ -537,10 +539,20 @@ def placement_from_text(text: str) -> PlacementMap:
         if parts[0] == "file":
             if len(parts) < 3:
                 raise ValueError(f"malformed file line: {line!r}")
+            if parts[1] in files:
+                raise ValueError(f"duplicate file line for {parts[1]}")
             files[parts[1]] = tuple(parse_address(tok) for tok in parts[2:])
         else:
             if len(parts) < 2:
                 raise ValueError(f"malformed placement line: {line!r}")
             addr = parse_address(parts[0])
+            if addr in chunk_to_peers:
+                raise ValueError(f"duplicate placement line for chunk {addr.hex()}")
             chunk_to_peers[addr] = {parse_address(tok) for tok in parts[1:]}
+    for fid, addrs in files.items():
+        for addr in addrs:
+            if addr not in chunk_to_peers:
+                raise ValueError(
+                    f"file {fid} names chunk {addr.hex()}, which has no holder line"
+                )
     return PlacementMap(chunk_to_peers=chunk_to_peers, files=files)

@@ -10,7 +10,7 @@ from swarmsim.chunker import ChunkParams, build_tree, split_file
 from swarmsim.cli import EX_INFEASIBLE, EX_IO, EX_OK, EX_UNAVAILABLE, EX_USAGE, run
 from swarmsim.codec import CodingParams, manifest_root, manifest_text, parse_manifest_text
 from swarmsim.harness import ExperimentConfig, emit_reports, file_bytes, prepare
-from swarmsim.netsim import SimConfig, spawn_network
+from swarmsim.netsim import SimConfig, load_snapshot, spawn_network
 from swarmsim.seeds import seeded_bytes
 from swarmsim.tools import PlacementMap, deletion_list_to_text, placement_to_text
 
@@ -175,6 +175,23 @@ class TestExitCodes:
         assert "'view-size'" in err
         assert not (tmp_path / "out.bin").exists()
 
+    @pytest.mark.parametrize("lines", [
+        ["{c1} {p1}", "file fx {c1} {c2}"],  # c2 has no holder line
+        ["{c1} {p1}", "{c1} {p1}", "file fx {c1}"],
+        ["{c1} {p1}", "file fx {c1}", "file fx {c1}"],
+    ])
+    def test_bakedeletion_rejects_a_bad_placement(self, tmp_path, lines):
+        ids = {"c1": "aa" * 32, "c2": "bb" * 32, "p1": "11" * 32}
+        placement = tmp_path / "placement.txt"
+        placement.write_text("".join(line.format(**ids) + "\n" for line in lines))
+        code, _, err = cli(
+            "bakedeletion", "--placement", placement, "--target-r", 1,
+            "--out", tmp_path / "plan.txt",
+        )
+        assert code == EX_USAGE
+        assert err.startswith("error: ")
+        assert not (tmp_path / "plan.txt").exists()
+
     def test_placement_out_needs_manifest(self, tmp_path, state):
         code, _, err = cli(
             "stats", "--state", state["dir"], "--placement-out", tmp_path / "p.txt"
@@ -233,6 +250,37 @@ class TestUploadRetrieve:
         code, _, err = cli("listchunks", "--manifest", manifest, "--out", listed)
         assert code == EX_OK, err
         assert len(listed.read_text().splitlines()) == 49 + 7 + 1
+
+    def test_upload_matches_the_library_at_non_default_geometry(self, tmp_path):
+        data = seeded_bytes(60_000, "cli-geometry")
+        source = tmp_path / "input.bin"
+        source.write_bytes(data)
+        manifest, state_dir = tmp_path / "m.txt", tmp_path / "net"
+        code, out, err = cli(
+            "upload", "--file", source, "--state", state_dir, "--out", manifest,
+            "--peers", 30, "--seed", 7, "--view-size", 6, "--ns", 3, "--backends", 5,
+            "--chunk-size", 1024, "--branching", 8, "--k", 4, "--n", 6,
+        )
+        assert code == EX_OK, err
+        net = spawn_network(
+            SimConfig(num_peers=30, seed=7, view_size=6, ns=3, num_backends=5)
+        )
+        expected = net.upload(
+            data, ChunkParams(chunk_size=1024, branching=8), CodingParams(k=4, n=6)
+        )
+        saved = load_snapshot(state_dir)
+        assert saved.digest == net.census_digest()
+        assert saved.stores == net.stores
+        assert manifest.read_text() == manifest_text(expected)
+        assert out.strip() == manifest_root(expected).hex()
+        for entry in ([], ["--entry", 29]):
+            back = tmp_path / "back.bin"
+            code, out, err = cli(
+                "retrieve", "--state", state_dir, "--manifest", manifest,
+                "--out", back, *entry,
+            )
+            assert code == EX_OK, err
+            assert back.read_bytes() == data
 
     def test_upload_prints_manifest_root(self, state):
         manifest = parse_manifest_text(state["manifest"].read_text())

@@ -390,3 +390,24 @@ out=resdir
     def test_malformed_line(self):
         with pytest.raises(ValueError, match="malformed"):
             parse_experiment_config("peers=10\nfile_sizes=5000\nmin_degree=1\nbogus\n")
+
+    @pytest.mark.parametrize("line", [
+        "fractions=0.1,,0.5,",
+        "fractions=0.1,,0.5",
+        "fractions=0.1, ,0.5",
+        "fractions=",
+        "file_sizes=5000,,6000,",
+        "file_sizes=5000,6000,",
+        "file_sizes=,5000",
+    ])
+    def test_empty_list_item_names_its_key(self, line):
+        key = line.split("=")[0]
+        base = {"peers": "10", "file_sizes": "5000", "min_degree": "1"}
+        base.pop(key, None)
+        text = "".join(f"{k}={v}\n" for k, v in base.items()) + line + "\n"
+        with pytest.raises(ValueError, match=f"experiment config key '{key}'.*empty"):
+            parse_experiment_config(text)
+
+    def test_unparsable_value_names_its_key(self):
+        with pytest.raises(ValueError, match="experiment config key 'peers'"):
+            parse_experiment_config("peers=ten\nfile_sizes=5000\nmin_degree=1\n")

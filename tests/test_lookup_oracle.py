@@ -1,7 +1,9 @@
 """The counted last lookup phase and the index-sampled views against the
 sorted walk and the copy-per-peer views they replace, kept here as
-reference implementations; the bisected count against a direct count; and
-the per-config view cache against build_views."""
+reference implementations; the bisected count against a direct count; the
+per-config view cache against build_views; and routing, neighbourhoods and
+the pull round over the shared index rows against the same walks over
+build_views' frozenset views."""
 
 import random
 import warnings
@@ -10,10 +12,10 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from swarmsim.chunker import ChunkParams
-from swarmsim.codec import CodingParams
+from swarmsim.chunker import ChunkParams, build_tree, split_file
+from swarmsim.codec import CodingParams, encode_tree
 from swarmsim.harness import ExperimentConfig, prepare
-from swarmsim.netsim import Network, SimConfig, _view_rows, spawn_network
+from swarmsim.netsim import SYNC_FULL, SYNC_NONE, Network, SimConfig, _view_rows, spawn_network
 from swarmsim.overlay import (
     RoutingView,
     build_views,
@@ -50,12 +52,12 @@ def reference_locate(net, entry, addr):
     payload = probe(entry)
     if payload is not None:
         return payload, probes
-    path = net.route_path(entry, addr)
+    path = reference_route_path(net.views, net.failed, entry, addr)
     for pid in path:
         payload = probe(pid)
         if payload is not None:
             return payload, probes
-    for pid in responsible_peers(addr, net.views[path[-1]], net.config.ns):
+    for pid in reference_neighbourhood(net.views, addr, path[-1], net.config.ns):
         payload = probe(pid)
         if payload is not None:
             return payload, probes
@@ -67,6 +69,60 @@ def reference_locate(net, entry, addr):
         if payload is not None:
             return payload, probes
     return None, probes
+
+
+def reference_route_path(views, failed, entry, target):
+    """Greedy walk over frozenset views: step to the live view member
+    nearest target while it is nearer than the current peer."""
+    t = int.from_bytes(target, "big")
+    current, path = entry, [entry]
+    while True:
+        best, best_d = None, t ^ int.from_bytes(current, "big")
+        for q in views[current].known:
+            if q in failed:
+                continue
+            d = t ^ int.from_bytes(q, "big")
+            if d < best_d:
+                best, best_d = q, d
+        if best is None:
+            return path
+        current = best
+        path.append(current)
+
+
+def reference_neighbourhood(views, addr, pid, ns):
+    """The ns ids nearest addr among pid's view members and pid itself."""
+    candidates = set(views[pid].known) | {pid}
+    return tuple(reference_nearest(addr, candidates, min(ns, len(candidates))))
+
+
+def reference_upload(config, views, stores, failed, data, params, coding):
+    """Store a file's chunks on the path and the terminal neighbourhood from
+    the seeded entry peer; in full sync, every live peer then keeps each
+    chunk that fewer than ns of its view members are nearer to than itself."""
+    peer_ids = list(stores)
+    manifest, chunks = build_tree(split_file(data, params), params)
+    if coding is not None:
+        chunks = {**chunks, **encode_tree(manifest, chunks, coding)[1]}
+    draw = derive_rng("upload-entry", config.seed, manifest.root)
+    entry = peer_ids[draw.randrange(len(peer_ids))]
+    for addr, payload in chunks.items():
+        path = reference_route_path(views, failed, entry, addr)
+        for pid in path:
+            stores[pid][addr] = payload
+        for pid in reference_neighbourhood(views, addr, path[-1], config.ns):
+            if pid not in failed:
+                stores[pid][addr] = payload
+    if config.sync_mode != SYNC_FULL:
+        return
+    for pid in peer_ids:
+        if pid in failed:
+            continue
+        for addr, payload in chunks.items():
+            mine = xor_distance(addr, pid)
+            closer = [q for q in views[pid].known if xor_distance(addr, q) < mine]
+            if len(closer) < config.ns:
+                stores[pid][addr] = payload
 
 
 def reference_nearest(target, candidates, m):
@@ -254,19 +310,26 @@ class TestViewsOncePerConfig:
             _view_rows.cache_clear()
             nets = [spawn_network(cfg), spawn_network(cfg)]  # a miss, then a hit
         for net in nets:
+            assert net._views is None  # built on first access only
             assert net.views == expected
-            assert {pid: sorted(v) for pid, v in net._view_ints.items()} == {
+            assert net.views is net.views
+            assert net._ints == tuple(int.from_bytes(pid, "big") for pid in net.peer_ids)
+            assert {
+                pid: sorted(net._ints[j] for j in row)
+                for pid, row in zip(net.peer_ids, net._rows)
+            } == {
                 pid: sorted(int.from_bytes(q, "big") for q in view.known)
                 for pid, view in expected.items()
             }
 
     def test_clamp_warning_fires_on_every_spawn(self):
+        """Once per spawn; building the views from the rows does not warn."""
         cfg = SimConfig(num_peers=5, seed=11, view_size=16)
         _view_rows.cache_clear()
         for _ in range(2):
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                spawn_network(cfg)
+                spawn_network(cfg).views
             assert [str(w.message) for w in caught] == [
                 "view_size 16 >= peer count 5; clamping to 4"
             ]
@@ -274,17 +337,91 @@ class TestViewsOncePerConfig:
     def test_networks_of_one_config_share_no_mutable_state(self):
         cfg = SimConfig(num_peers=40, seed=12, view_size=6)
         a, b = spawn_network(cfg), spawn_network(cfg)
-        for attr in ("views", "_view_ints", "_ints", "stores", "peer_ids",
-                     "peer_index", "backends", "failed"):
+        for attr in ("views", "stores", "peer_ids", "peer_index", "failed"):
             assert getattr(a, attr) is not getattr(b, attr), attr
         for pid in a.peer_ids:
-            assert a._view_ints[pid] is not b._view_ints[pid]
             assert a.stores[pid] is not b.stores[pid]
+        # the index rows and the ints are shared, and nothing can write them
+        assert a._rows is b._rows and a._ints is b._ints
+        for shared in (a._rows, a._rows[0], a._ints):
+            with pytest.raises(TypeError):
+                shared[0] = 1
+        with pytest.raises(TypeError):
+            a.views[a.peer_ids[0]] = None
+        with pytest.raises(AttributeError):
+            a.views = {}
         expected = spawn_network(cfg).views
-        a._view_ints[a.peer_ids[0]].clear()
-        a.views.clear()
-        a.stores[a.peer_ids[0]][b"x" * 32] = b"x"
+        ids = list(a.peer_ids)
+        a.peer_ids.reverse()
+        a.peer_index.clear()
+        a.stores[ids[0]][b"x" * 32] = b"x"
         c = spawn_network(cfg)
         assert b.views == c.views == expected
-        assert all(len(v) == 6 for v in c._view_ints.values())
+        assert c.peer_ids == b.peer_ids == ids
+        assert [len(row) for row in c._rows] == [6] * 40
         assert not any(c.stores.values()) and not any(b.stores.values())
+
+
+# -- routing over the index rows ---------------------------------------------
+
+
+def oracle_network(n, view_size, fraction, sync_mode=SYNC_FULL):
+    """A spawned network with a seeded share of peers failed, and the views
+    build_views gives for its config."""
+    cfg = SimConfig(num_peers=n, seed=n, view_size=view_size, ns=3, sync_mode=sync_mode)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # view_size >= n is clamped
+        net = spawn_network(cfg)
+        views = build_views(make_peer_ids(n, n), view_size, n)
+    net.fail_peers(fraction=fraction, seed=5)
+    return net, views
+
+
+SIZES = pytest.mark.parametrize("n,view_size", [
+    (2, 1), (2, 16), (3, 1), (3, 2), (3, 16), (17, 4), (17, 16), (17, 40),
+    (200, 4), (200, 16),
+])
+
+
+class TestRoutingOverIndexRows:
+    @SIZES
+    @pytest.mark.parametrize("fraction", [0.0, 0.3])
+    def test_every_peer_routes_as_the_frozenset_walk(self, n, view_size, fraction):
+        net, views = oracle_network(n, view_size, fraction)
+        targets = [derive_bytes("target", i) for i in range(4)] + net.peer_ids[:2]
+        for entry in net.peer_ids:  # failed entries included
+            for target in targets:
+                path = net.route_path(entry, target)
+                assert path == reference_route_path(views, net.failed, entry, target)
+                assert net._neighbourhood(target, path[-1]) == reference_neighbourhood(
+                    views, target, path[-1], net.config.ns
+                )
+
+    @SIZES
+    @pytest.mark.parametrize("fraction", [0.0, 0.3])
+    @pytest.mark.parametrize("sync_mode", [SYNC_FULL, SYNC_NONE])
+    def test_stores_after_uploads_match(self, n, view_size, fraction, sync_mode):
+        """Two uploads, the second onto filled stores: every store holds the
+        same chunks in the same insertion order as the frozenset upload."""
+        net, views = oracle_network(n, view_size, fraction, sync_mode)
+        stores = {pid: {} for pid in net.peer_ids}
+        params = ChunkParams(chunk_size=1024, branching=4)
+        for index, coding in enumerate([None, CodingParams(k=2, n=3)]):
+            data = seeded_bytes(9_000, "oracle", index)
+            net.upload(data, params, coding)
+            reference_upload(net.config, views, stores, net.failed, data, params, coding)
+            assert {pid: list(s.items()) for pid, s in net.stores.items()} == {
+                pid: list(s.items()) for pid, s in stores.items()
+            }
+        assert any(net.stores.values())
+
+    @SIZES
+    def test_connectivity_degrees_are_view_sizes(self, n, view_size):
+        net, views = oracle_network(n, view_size, 0.0)
+        report = net.wait_for_connectivity(1)
+        assert report.degrees == [len(views[pid].known) for pid in net.peer_ids]
+
+    def test_unknown_entry_peer_rejected(self):
+        net, _ = oracle_network(17, 4, 0.0)
+        with pytest.raises(ValueError, match="unknown entry peer"):
+            net.route_path(b"\x00" * 32, derive_bytes("target"))

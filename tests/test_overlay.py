@@ -4,7 +4,6 @@ from statistics import median
 import pytest
 
 from swarmsim.overlay import (
-    RoutingView,
     build_views,
     make_peer_ids,
     nearest_peers,
@@ -142,24 +141,22 @@ class TestResponsiblePeers:
         views = build_views(ids, 10, 2)
         view = views[ids[0]]
         chunk = bytes.fromhex("ab" * 32)
-        hood = responsible_peers(chunk, view, 4)
+        hood = responsible_peers(chunk, view.owner, view.known, 4)
         candidates = set(view.known) | {view.owner}
         expected = nearest_peers(chunk, candidates, 4)
         assert hood == tuple(expected)
 
     def test_owner_can_be_responsible(self):
-        view = RoutingView(owner=byte_id(4), known=frozenset({byte_id(9)}))
-        hood = responsible_peers(byte_id(5), view, 1)
+        hood = responsible_peers(byte_id(5), byte_id(4), [byte_id(9)], 1)
         assert hood == (byte_id(4),)
 
     def test_ns_clamped_to_candidates(self):
-        view = RoutingView(owner=byte_id(4), known=frozenset({byte_id(9)}))
-        hood = responsible_peers(byte_id(5), view, 10)
+        hood = responsible_peers(byte_id(5), byte_id(4), [byte_id(9)], 10)
         assert set(hood) == {byte_id(4), byte_id(9)}
 
     def test_different_views_disagree_on_responsibility(self):
         ids = make_peer_ids(200, 0)
         views = build_views(ids, 16, 0)
         chunk = bytes.fromhex("cd" * 32)
-        hoods = {responsible_peers(chunk, views[pid], 4) for pid in ids}
+        hoods = {responsible_peers(chunk, pid, views[pid].known, 4) for pid in ids}
         assert len(hoods) > 1

@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from swarmsim.chunker import ChunkParams, build_tree, split_file
 from swarmsim.codec import CodingParams, encode_tree
@@ -425,6 +426,63 @@ class TestTextFormats:
             placement_from_text(f"{C1.hex()}\n")
         with pytest.raises(ValueError, match="malformed"):
             placement_from_text("file onlyid\n")
+
+    def test_placement_rejects_a_file_chunk_without_holders(self):
+        text = f"{C1.hex()} {P1.hex()}\nfile fx {C1.hex()} {C2.hex()}\n"
+        with pytest.raises(ValueError, match=f"file fx .*{C2.hex()}.* no holder line"):
+            placement_from_text(text)
+
+    def test_placement_rejects_a_repeated_chunk_line(self):
+        text = f"{C1.hex()} {P1.hex()}\n{C1.hex()} {P2.hex()}\nfile fx {C1.hex()}\n"
+        with pytest.raises(ValueError, match=f"duplicate placement line for chunk {C1.hex()}"):
+            placement_from_text(text)
+
+    def test_placement_rejects_a_repeated_file_line(self):
+        text = f"{C1.hex()} {P1.hex()}\nfile fx {C1.hex()}\nfile fx {C1.hex()}\n"
+        with pytest.raises(ValueError, match="duplicate file line for fx"):
+            placement_from_text(text)
+
+
+ids = st.binary(min_size=32, max_size=32)
+
+
+@st.composite
+def placements(draw):
+    """1-3 files drawing from a pool of at most 8 chunks, so files often
+    share chunks, each chunk held by a non-empty subset of up to 20 peers."""
+    peers = draw(st.lists(ids, min_size=1, max_size=20, unique=True))
+    chunks = st.sampled_from(draw(st.lists(ids, min_size=1, max_size=8, unique=True)))
+    file_id = st.text("0123456789abcdef", min_size=1, max_size=64)
+    files = {
+        fid: tuple(draw(st.lists(chunks, min_size=1, max_size=6, unique=True)))
+        for fid in draw(st.lists(file_id, min_size=1, max_size=3, unique=True))
+    }
+    chunk_to_peers = {
+        addr: set(draw(st.lists(st.sampled_from(peers), min_size=1, unique=True)))
+        for addrs in files.values()
+        for addr in addrs
+    }
+    return PlacementMap(chunk_to_peers=chunk_to_peers, files=files)
+
+
+class TestTextRoundTrips:
+    @settings(max_examples=150, deadline=None)
+    @given(placements())
+    def test_placement(self, placement):
+        text = placement_to_text(placement)
+        parsed = placement_from_text(text)
+        assert parsed == placement
+        assert placement_to_text(parsed) == text
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(ids, min_size=1, max_size=20, unique=True).flatmap(
+        lambda peers: st.lists(st.tuples(st.sampled_from(peers), ids), max_size=40)
+    ))
+    def test_deletion_list(self, entries):
+        text = deletion_list_to_text(entries)
+        parsed = deletion_list_from_text(text)
+        assert parsed == sorted(set(entries))
+        assert deletion_list_to_text(parsed) == text
 
 
 class TestPlacementFromNetwork:
