@@ -267,19 +267,19 @@ def _cmd_deletechunks(args, stdout) -> int:
     return EX_OK
 
 
-def _cmd_snapshot(args, stdout) -> int:
-    snap = load_snapshot(args.state)
-    save_snapshot(snap, args.out)
+def _copy_state(source: str, target: str, stdout) -> int:
+    snap = load_snapshot(source)
+    save_snapshot(snap, target)
     print(snap.digest, file=stdout)
     return EX_OK
 
 
+def _cmd_snapshot(args, stdout) -> int:
+    return _copy_state(args.state, args.out, stdout)
+
+
 def _cmd_restore(args, stdout) -> int:
-    snap = load_snapshot(args.snapshot)
-    network = network_from_snapshot(snap)
-    _save_network(network, args.state)
-    print(network.census_digest(), file=stdout)
-    return EX_OK
+    return _copy_state(args.snapshot, args.state, stdout)
 
 
 def _cmd_experiment(args, stdout) -> int:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import os
 import shutil
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -454,28 +455,72 @@ def _stores_digest(
 
 
 def save_snapshot(snap: Snapshot, directory: str | Path) -> Path:
-    """Write a snapshot to disk, replacing any snapshot already there."""
+    """Write a snapshot to disk, replacing any snapshot already there.
+
+    Each distinct payload is written once; every other replica of it is a
+    hard link to that file (a copy where linking fails). Links never reach
+    outside the tree being written, so no file is shared with the replaced
+    state, whose bytes were never verified, or with another snapshot
+    directory, which an in-place edit would then change too.
+
+    The tree is built in .<name>.saving, next to the resolved target, and
+    swapped in by two renames: target to .<name>.old, staging to target.
+    A failure before the first rename leaves the old state whole; the next
+    save removes the stale staging tree. The one window left is between
+    the two renames: the target is missing, the old state is whole in
+    .<name>.old and the new one in .<name>.saving. The next save renames
+    .<name>.old back before it starts.
+
+    A target holding anything but manifest.txt and backend-* entries is
+    refused with ValueError before anything is written, since the swap
+    would delete it.
+    """
     root = Path(directory)
-    root.mkdir(parents=True, exist_ok=True)
-    manifest = root / "manifest.txt"
-    if manifest.exists():
-        manifest.unlink()
-    for stale in root.glob("backend-*"):
-        if stale.is_dir():
+    target = root.resolve()
+    staging = target.with_name(f".{target.name}.saving")
+    old = target.with_name(f".{target.name}.old")
+    if old.exists() and not target.exists():
+        old.rename(target)
+    if target.exists():
+        for entry in sorted(target.iterdir()):
+            if entry.name != "manifest.txt" and not entry.name.startswith("backend-"):
+                raise ValueError(
+                    f"{root} holds {entry.name!r}, which is not part of a "
+                    "snapshot; refusing to replace it"
+                )
+    for stale in (old, staging):
+        if stale.exists():
             shutil.rmtree(stale)
 
     cfg = snap.config
     peer_ids = make_peer_ids(cfg.num_peers, cfg.seed)
     assignment = backend_assignment(cfg.num_peers, cfg.num_backends)
+    written: dict[Address, tuple[bytes, Path]] = {}
     for index, pid in enumerate(peer_ids):
-        peer_dir = root / f"backend-{assignment[index]}" / pid.hex()
-        peer_dir.mkdir(parents=True, exist_ok=True)
-        for addr in sorted(snap.stores[pid]):
-            (peer_dir / addr.hex()).write_bytes(snap.stores[pid][addr])
+        peer_dir = staging / f"backend-{assignment[index]}" / pid.hex()
+        peer_dir.mkdir(parents=True)
+        store = snap.stores[pid]
+        for addr in sorted(store):
+            payload, path = store[addr], peer_dir / addr.hex()
+            first = written.get(addr)
+            if first is None:
+                written[addr] = (payload, path)
+            elif first[0] == payload:
+                try:
+                    os.link(first[1], path)
+                    continue
+                except OSError:
+                    pass
+            path.write_bytes(payload)
 
     lines = [f"{f.name}={getattr(cfg, f.name)}" for f in fields(SimConfig)]
     lines.append(f"census_digest={snap.digest}")
-    manifest.write_text("\n".join(lines) + "\n")
+    (staging / "manifest.txt").write_text("\n".join(lines) + "\n")
+    if target.exists():
+        target.rename(old)
+    staging.rename(target)
+    # the save is complete here; a leftover .<name>.old goes with the next one
+    shutil.rmtree(old, ignore_errors=True)
     return root
 
 
@@ -501,6 +546,9 @@ def load_snapshot(directory: str | Path) -> Snapshot:
     peer_ids = make_peer_ids(config.num_peers, config.seed)
     assignment = backend_assignment(config.num_peers, config.num_backends)
     stores: dict[PeerId, dict[Address, bytes]] = {}
+    # replicas are equal, so each address keeps one payload object; a file
+    # with other bytes is hash-checked like the first
+    verified: dict[Address, bytes] = {}
     for index, pid in enumerate(peer_ids):
         store: dict[Address, bytes] = {}
         peer_dir = root / f"backend-{assignment[index]}" / pid.hex()
@@ -508,11 +556,13 @@ def load_snapshot(directory: str | Path) -> Snapshot:
             for entry in sorted(peer_dir.iterdir()):
                 addr = bytes.fromhex(entry.name)
                 payload = entry.read_bytes()
-                if hashlib.sha256(payload).digest() != addr:
-                    raise SwarmSimError(
-                        f"corrupt snapshot: {entry} does not hash to its name"
-                    )
-                store[addr] = payload
+                if payload != verified.get(addr):
+                    if hashlib.sha256(payload).digest() != addr:
+                        raise SwarmSimError(
+                            f"corrupt snapshot: {entry} does not hash to its name"
+                        )
+                    verified[addr] = payload
+                store[addr] = verified[addr]
         stores[pid] = store
     digest = _stores_digest(peer_ids, stores)
     if digest != recorded_digest:

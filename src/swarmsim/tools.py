@@ -526,12 +526,24 @@ def placement_to_text(placement: PlacementMap) -> str:
     return "".join(line + "\n" for line in lines)
 
 
+def _distinct(tokens: list[str], what: str) -> tuple[Address, ...]:
+    """The tokens as addresses, in order, rejecting one named twice."""
+    addrs: dict[Address, None] = {}
+    for tok in tokens:
+        addr = parse_address(tok)
+        if addr in addrs:
+            raise ValueError(f"{what} {addr.hex()} twice")
+        addrs[addr] = None
+    return tuple(addrs)
+
+
 def placement_from_text(text: str) -> PlacementMap:
-    """Parse placement_to_text's format. A repeated chunk or file line, and a
+    """Parse placement_to_text's format. A repeated chunk or file line, a
+    holder repeated on a chunk line, a chunk repeated on a file line, and a
     file naming a chunk without a holder line, are rejected."""
     chunk_to_peers: dict[Address, set[PeerId]] = {}
     files: dict[str, tuple[Address, ...]] = {}
-    for line in text.splitlines():
+    for number, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line:
             continue
@@ -541,14 +553,15 @@ def placement_from_text(text: str) -> PlacementMap:
                 raise ValueError(f"malformed file line: {line!r}")
             if parts[1] in files:
                 raise ValueError(f"duplicate file line for {parts[1]}")
-            files[parts[1]] = tuple(parse_address(tok) for tok in parts[2:])
+            files[parts[1]] = _distinct(parts[2:], f"file line {number} names chunk")
         else:
             if len(parts) < 2:
                 raise ValueError(f"malformed placement line: {line!r}")
             addr = parse_address(parts[0])
             if addr in chunk_to_peers:
                 raise ValueError(f"duplicate placement line for chunk {addr.hex()}")
-            chunk_to_peers[addr] = {parse_address(tok) for tok in parts[1:]}
+            holders = _distinct(parts[1:], f"placement line {number} names holder")
+            chunk_to_peers[addr] = set(holders)
     for fid, addrs in files.items():
         for addr in addrs:
             if addr not in chunk_to_peers:

@@ -179,6 +179,8 @@ class TestExitCodes:
         ["{c1} {p1}", "file fx {c1} {c2}"],  # c2 has no holder line
         ["{c1} {p1}", "{c1} {p1}", "file fx {c1}"],
         ["{c1} {p1}", "file fx {c1}", "file fx {c1}"],
+        ["{c1} {p1} {p1}", "file fx {c1}"],
+        ["{c1} {p1}", "file fx {c1} {c1}"],
     ])
     def test_bakedeletion_rejects_a_bad_placement(self, tmp_path, lines):
         ids = {"c1": "aa" * 32, "c2": "bb" * 32, "p1": "11" * 32}
@@ -354,6 +356,27 @@ class TestSnapshotRestore:
         assert restored_out.strip() == digest
         _, stats_after, _ = cli("stats", "--state", state_dir)
         assert stats_after == stats_before
+
+
+    def test_snapshot_refuses_a_directory_with_foreign_files(self, tmp_path, state):
+        out = tmp_path / "saved"
+        out.mkdir()
+        (out / "notes.txt").write_text("mine")
+        code, stdout, err = cli("snapshot", "--state", state["dir"], "--out", out)
+        assert code == EX_USAGE
+        assert stdout == ""
+        assert "'notes.txt'" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["saved"]
+        assert [p.name for p in out.iterdir()] == ["notes.txt"]
+
+    def test_copies_match_their_source_byte_for_byte(self, tmp_path, state):
+        saved, restored = tmp_path / "saved", tmp_path / "restored"
+        code, digest, _ = cli("snapshot", "--state", state["dir"], "--out", saved)
+        assert code == EX_OK
+        code, again, _ = cli("restore", "--state", restored, "--snapshot", saved)
+        assert code == EX_OK
+        assert again == digest == load_snapshot(state["dir"]).digest + "\n"
+        assert dir_bytes(saved) == dir_bytes(restored) == dir_bytes(state["dir"])
 
 
 class TestStats:

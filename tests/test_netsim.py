@@ -1,3 +1,9 @@
+import errno
+import os
+from collections import Counter
+from dataclasses import fields
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,7 +26,7 @@ from swarmsim.netsim import (
     save_snapshot,
     spawn_network,
 )
-from swarmsim.overlay import xor_distance
+from swarmsim.overlay import make_peer_ids, xor_distance
 from swarmsim.seeds import seeded_bytes
 from swarmsim.tools import listchunks
 
@@ -401,6 +407,173 @@ class TestDiskSnapshots:
         save_snapshot(net.snapshot(), tmp_path / "snap")
         loaded = load_snapshot(tmp_path / "snap")
         assert sum(len(s) for s in loaded.stores.values()) == 0
+
+
+
+def reference_save(snap, root: Path) -> None:
+    """One write per replica, every peer directory made even when its store
+    is empty: the writer that save_snapshot's output must match."""
+    cfg = snap.config
+    assignment = backend_assignment(cfg.num_peers, cfg.num_backends)
+    for index, pid in enumerate(make_peer_ids(cfg.num_peers, cfg.seed)):
+        peer_dir = root / f"backend-{assignment[index]}" / pid.hex()
+        peer_dir.mkdir(parents=True)
+        for addr, payload in snap.stores[pid].items():
+            (peer_dir / addr.hex()).write_bytes(payload)
+    lines = [f"{f.name}={getattr(cfg, f.name)}" for f in fields(SimConfig)]
+    lines.append(f"census_digest={snap.digest}")
+    (root / "manifest.txt").write_text("\n".join(lines) + "\n")
+
+
+def tree(root: Path) -> dict[str, bytes | None]:
+    """{relative path: bytes} of every file, None for every directory."""
+    return {
+        str(p.relative_to(root)): p.read_bytes() if p.is_file() else None
+        for p in root.rglob("*")
+    }
+
+
+def old_and_new(num_peers=31):
+    """Snapshots of one network before and after a second upload."""
+    net = small_net(num_peers, 2)
+    net.upload(seeded_bytes(25_000, "old"), B3)
+    old = net.snapshot()
+    net.upload(seeded_bytes(25_000, "new"), B3, CodingParams(k=2, n=3))
+    return old, net.snapshot()
+
+
+def fail_call(monkeypatch, owner, name, k):
+    """Make the k-th call of owner.name raise, as a full disk or a crash
+    would; the other calls go through."""
+    original = getattr(owner, name)
+    calls = 0
+
+    def failing(*args):
+        nonlocal calls
+        calls += 1
+        if calls == k:
+            raise OSError(errno.ENOSPC, "injected failure")
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, failing)
+
+
+class TestStagedSave:
+    @pytest.mark.parametrize("coding", [None, CodingParams(k=2, n=3)], ids=["plain", "coded"])
+    def test_tree_matches_the_per_file_writer(self, tmp_path, coding):
+        net = small_net(31, 2)
+        net.upload(seeded_bytes(25_000, "tree"), B3, coding)
+        snap = net.snapshot()
+        reference_save(snap, tmp_path / "ref")
+        root = save_snapshot(snap, tmp_path / "snap")
+        assert tree(root) == tree(tmp_path / "ref")
+        # each distinct payload is one file, linked once per replica
+        replicas = Counter(addr for store in snap.stores.values() for addr in store)
+        assert max(replicas.values()) > 1
+        for path in root.glob("backend-*/*/*"):
+            assert path.stat().st_nlink == replicas[bytes.fromhex(path.name)]
+
+    def test_tree_is_the_same_when_links_fail(self, tmp_path, monkeypatch):
+        _, snap = old_and_new()
+        reference_save(snap, tmp_path / "ref")
+
+        def refuse(src, dst):
+            raise OSError(errno.EXDEV, "Invalid cross-device link")
+
+        monkeypatch.setattr(os, "link", refuse)
+        root = save_snapshot(snap, tmp_path / "snap")
+        assert tree(root) == tree(tmp_path / "ref")
+        assert {p.stat().st_nlink for p in root.glob("backend-*/*/*")} == {1}
+        assert load_snapshot(root).digest == snap.digest
+
+    def test_unequal_payloads_under_one_address_are_not_linked(self, tmp_path):
+        net = small_net(10, 2, view_size=4)
+        addr = content_address(b"x")
+        net.stores[net.peer_ids[0]][addr] = b"x"
+        net.stores[net.peer_ids[1]][addr] = b"y"
+        root = save_snapshot(net.snapshot(), tmp_path / "snap")
+        files = sorted(root.glob(f"backend-*/*/{addr.hex()}"))
+        assert sorted(p.read_bytes() for p in files) == [b"x", b"y"]
+        with pytest.raises(SwarmSimError, match="corrupt snapshot"):
+            load_snapshot(root)
+
+    def test_a_copy_shares_no_file_with_its_source(self, tmp_path):
+        _, snap = old_and_new()
+        source = save_snapshot(snap, tmp_path / "state")
+        copy = save_snapshot(load_snapshot(source), tmp_path / "saved")
+        assert tree(copy) == tree(source)
+        inodes = {p.stat().st_ino for p in source.glob("backend-*/*/*")}
+        assert inodes.isdisjoint(p.stat().st_ino for p in copy.glob("backend-*/*/*"))
+
+    def test_load_keeps_one_object_per_address(self, tmp_path):
+        _, snap = old_and_new()
+        loaded = load_snapshot(save_snapshot(snap, tmp_path / "snap"))
+        first: dict[bytes, bytes] = {}
+        for store in loaded.stores.values():
+            for addr, payload in store.items():
+                assert first.setdefault(addr, payload) is payload
+
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_a_failed_payload_write_keeps_the_old_state(self, tmp_path, monkeypatch, k):
+        old, new = old_and_new()
+        root = save_snapshot(old, tmp_path / "snap")
+        fail_call(monkeypatch, Path, "write_bytes", k)
+        with pytest.raises(OSError, match="injected failure"):
+            save_snapshot(new, root)
+        monkeypatch.undo()
+        loaded = load_snapshot(root)
+        assert loaded.digest == old.digest
+        assert loaded.stores == old.stores
+
+    def test_a_stale_staging_tree_is_removed(self, tmp_path):
+        _, snap = old_and_new()
+        stale = tmp_path / ".snap.saving" / "backend-0"
+        stale.mkdir(parents=True)
+        (stale / "junk").write_bytes(b"junk")
+        root = save_snapshot(snap, tmp_path / "snap")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["snap"]
+        assert load_snapshot(root).digest == snap.digest
+
+    def test_a_crash_between_the_renames_is_rolled_back(self, tmp_path, monkeypatch):
+        old, new = old_and_new()
+        root = save_snapshot(old, tmp_path / "snap")
+        fail_call(monkeypatch, Path, "rename", 2)
+        with pytest.raises(OSError, match="injected failure"):
+            save_snapshot(new, root)
+        monkeypatch.undo()
+        # the window the docstring names: both trees are whole, the target is gone
+        assert not root.exists()
+        assert load_snapshot(tmp_path / ".snap.old").digest == old.digest
+        assert load_snapshot(tmp_path / ".snap.saving").digest == new.digest
+        # the next save first puts the old state back, so even a save that
+        # fails at once leaves it loadable
+        fail_call(monkeypatch, Path, "write_bytes", 1)
+        with pytest.raises(OSError, match="injected failure"):
+            save_snapshot(new, root)
+        monkeypatch.undo()
+        assert load_snapshot(root).digest == old.digest
+        save_snapshot(new, root)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["snap"]
+        assert load_snapshot(root).digest == new.digest
+
+    def test_a_foreign_entry_is_refused_before_anything_is_written(self, tmp_path):
+        old, new = old_and_new()
+        root = save_snapshot(old, tmp_path / "snap")
+        (root / "notes.txt").write_text("mine")
+        before = tree(root)
+        with pytest.raises(ValueError, match="'notes.txt'"):
+            save_snapshot(new, root)
+        assert tree(root) == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["snap"]
+
+    def test_a_symlinked_target_keeps_its_link(self, tmp_path):
+        old, new = old_and_new()
+        save_snapshot(old, tmp_path / "real")
+        (tmp_path / "link").symlink_to(tmp_path / "real")
+        save_snapshot(new, tmp_path / "link")
+        assert (tmp_path / "link").is_symlink()
+        assert load_snapshot(tmp_path / "real").digest == new.digest
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link", "real"]
 
 
 class TestManifestKinds:

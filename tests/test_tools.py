@@ -442,6 +442,16 @@ class TestTextFormats:
         with pytest.raises(ValueError, match="duplicate file line for fx"):
             placement_from_text(text)
 
+    def test_placement_rejects_a_holder_repeated_on_one_line(self):
+        text = f"{C1.hex()} {P1.hex()} {P2.hex()} {P1.hex().upper()}\nfile fx {C1.hex()}\n"
+        with pytest.raises(ValueError, match=f"placement line 1 names holder {P1.hex()} twice"):
+            placement_from_text(text)
+
+    def test_placement_rejects_a_chunk_repeated_on_one_file_line(self):
+        text = f"{C1.hex()} {P1.hex()}\n\nfile fx {C1.hex()} {C1.hex()}\n"
+        with pytest.raises(ValueError, match=f"file line 3 names chunk {C1.hex()} twice"):
+            placement_from_text(text)
+
 
 ids = st.binary(min_size=32, max_size=32)
 
