@@ -13,11 +13,7 @@ from pathlib import Path
 
 from .chunker import ChunkParams
 from .codec import CodingParams, manifest_root, manifest_text, parse_manifest_text
-from .errors import (
-    InfeasiblePlanError,
-    SwarmSimError,
-    SyncModeError,
-)
+from .errors import InfeasiblePlanError, SwarmSimError
 from .harness import (
     CONFIG_KEYS,
     census,
@@ -73,11 +69,7 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="swarmsim", description=__doc__)
     sub = parser.add_subparsers(dest="command", metavar="command")
 
-    def add(name, help_text):
-        p = sub.add_parser(name, help=help_text)
-        return p
-
-    p = add("upload", "chunk a file and place it on the network")
+    p = sub.add_parser("upload", help="chunk a file and place it on the network")
     p.add_argument("--file", required=True, help="input file path")
     p.add_argument("--state", required=True, help="network state directory")
     p.add_argument("--out", help="write the manifest to this path")
@@ -95,7 +87,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--k", type=int, help="data chunks per coding group")
     p.add_argument("--n", type=int, help="total chunks per coding group")
 
-    p = add("retrieve", "fetch a file back out of the network")
+    p = sub.add_parser("retrieve", help="fetch a file back out of the network")
     p.add_argument("--state", required=True)
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True, help="write the file here")
@@ -103,39 +95,39 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0,
                    help="entry peer draw when --entry is not given")
 
-    p = add("listchunks", "print every chunk address of a file, root first")
+    p = sub.add_parser("listchunks", help="print every chunk address of a file, root first")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", help="write addresses here instead of stdout")
 
-    p = add("bakedeletion", "plan deletions for uniform replication")
+    p = sub.add_parser("bakedeletion", help="plan deletions for uniform replication")
     p.add_argument("--placement", required=True, help="placement map file")
     p.add_argument("--target-r", type=int, required=True)
     p.add_argument("--out", required=True, help="write the deletion list here")
 
-    p = add("combinestorage", "merge deletion lists")
+    p = sub.add_parser("combinestorage", help="merge deletion lists")
     p.add_argument("lists", nargs="*", help="deletion list files")
     p.add_argument("--out", required=True)
     p.add_argument("--placement", help="re-verify rule A against this placement")
 
-    p = add("deletechunks", "apply a deletion list to the network state")
+    p = sub.add_parser("deletechunks", help="apply a deletion list to the network state")
     p.add_argument("--state", required=True)
     p.add_argument("--list", required=True, dest="list_path")
     p.add_argument("--no-sync", action="store_true",
                    help="switch the state to no_sync before deleting")
 
-    p = add("snapshot", "copy the network state to a snapshot directory")
+    p = sub.add_parser("snapshot", help="copy the network state to a snapshot directory")
     p.add_argument("--state", required=True)
     p.add_argument("--out", required=True)
 
-    p = add("restore", "replace the network state with a snapshot")
+    p = sub.add_parser("restore", help="replace the network state with a snapshot")
     p.add_argument("--state", required=True)
     p.add_argument("--snapshot", required=True)
 
-    p = add("experiment", "run the full prepare/iterate/report pipeline")
+    p = sub.add_parser("experiment", help="run the full prepare/iterate/report pipeline")
     p.add_argument("--config", required=True, help="key=value experiment file")
     p.add_argument("--out", help="override the config's output directory")
 
-    p = add("stats", "census reports and placement maps from the state")
+    p = sub.add_parser("stats", help="census reports and placement maps from the state")
     p.add_argument("--state", required=True)
     p.add_argument("--out", help="write census CSVs to this directory")
     p.add_argument("--manifest", action="append", default=[],
@@ -362,9 +354,6 @@ def run(argv: list[str], stdout=None, stderr=None) -> int:
     except AvailabilityFailure as exc:
         print(f"unavailable: {exc}", file=stderr)
         return EX_UNAVAILABLE
-    except SyncModeError as exc:
-        print(f"error: {exc}", file=stderr)
-        return EX_USAGE
     except OSError as exc:
         print(f"i/o error: {exc}", file=stderr)
         return EX_IO

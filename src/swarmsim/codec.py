@@ -437,27 +437,17 @@ def parse_manifest_text(text: str) -> FileManifest | EncodedManifest:
 
 
 def _parse_group_line(line: str) -> CodingGroup:
-    tokens = line.split()
-    if len(tokens) < 3 or tokens[0] != "group" or not tokens[1].startswith("level="):
+    """Parse `group level=<digits> data=<hex>... parity=<hex>...`, the one
+    layout manifest_text writes; parity is empty when n == k."""
+    head, _, rest = line.partition(" data=")
+    data, sep, parity = rest.partition(" parity=")
+    prefix, _, level = head.partition("group level=")
+    if prefix or not sep or not (level.isascii() and level.isdigit()) or "=" in data + parity:
         raise ValueError(f"malformed group line: {line!r}")
-    level = int(tokens[1][len("level=") :])
-    data: list[Address] = []
-    parity: list[Address] = []
-    bucket: list[Address] | None = None
-    for token in tokens[2:]:
-        if token.startswith("data="):
-            bucket = data
-            token = token[len("data=") :]
-        elif token.startswith("parity="):
-            bucket = parity
-            token = token[len("parity=") :]
-        if bucket is None:
-            raise ValueError(f"malformed group line: {line!r}")
-        if token:
-            bucket.append(parse_address(token))
-    if not data:
+    if not data.split():
         raise ValueError(f"group line has no data addresses: {line!r}")
-    return CodingGroup(level, data, parity)
+    data_addrs, parity_addrs = ([parse_address(t) for t in p.split()] for p in (data, parity))
+    return CodingGroup(int(level), data_addrs, parity_addrs)
 
 
 def _check_groups(

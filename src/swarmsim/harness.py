@@ -28,7 +28,7 @@ from .codec import (
     manifest_root,
 )
 from .errors import InfeasiblePlanError, SwarmSimError
-from .netsim import Network, RetrievalStats, SimConfig, Snapshot, SYNC_NONE, spawn_network
+from .netsim import Network, RetrievalStats, SimConfig, Snapshot, SYNC_NONE, holders, spawn_network
 from .overlay import PeerId
 from .seeds import derive_int, derive_rng, seeded_bytes
 from .tools import (
@@ -220,12 +220,10 @@ def _file_overheads(
     snapshot: Snapshot, manifests: list[FileManifest | EncodedManifest]
 ) -> dict[str, float]:
     """Stored bytes over original bytes per file, measured on the snapshot."""
-    counts: Counter[Address] = Counter()
-    for store in snapshot.stores.values():
-        counts.update(store.keys())
+    held = holders(snapshot.stores)
     overheads: dict[str, float] = {}
     for manifest in manifests:
-        stored = sum(counts[a] * n for a, n in address_lengths(manifest).items())
+        stored = sum(len(held.get(a, ())) * n for a, n in address_lengths(manifest).items())
         overheads[manifest_root(manifest).hex()] = stored / base_manifest(manifest).file_size
     return overheads
 

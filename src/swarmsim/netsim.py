@@ -18,11 +18,13 @@ from __future__ import annotations
 import functools
 import hashlib
 import os
+import re
 import shutil
+from collections import defaultdict
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from types import MappingProxyType
-from typing import Callable, Mapping
+from typing import Callable, Container, Mapping
 
 from .chunker import Address, ChunkParams, FileManifest, build_tree, parse_keys, reassemble, split_file
 from .codec import CodingParams, EncodedManifest, encode_tree, repair_retrieve
@@ -130,6 +132,17 @@ def backend_assignment(num_peers: int, num_backends: int) -> list[int]:
     return [i % num_backends for i in range(num_peers)]
 
 
+def holders(stores: Mapping[PeerId, Mapping], skip: Container = ()) -> dict[Address, list[PeerId]]:
+    """Each address the stores hold, mapped to its holders in store order,
+    passing over the stores of peers in skip."""
+    held: defaultdict[Address, list[PeerId]] = defaultdict(list)
+    for pid, store in stores.items():
+        if pid not in skip:
+            for addr in store:
+                held[addr].append(pid)
+    return dict(held)
+
+
 class Network:
     """Simulated peer network. Construct via spawn_network()."""
 
@@ -183,19 +196,11 @@ class Network:
 
     def _lookup_index(self) -> LookupIndex:
         """Every live peer's id as an int, ascending, and each address the
-        live peers hold mapped to its live holders, from one pass over the
-        live stores. Retrieval never writes a store or changes failures, so
-        one index serves a whole retrieve call."""
-        live: list[int] = []
-        holders: dict[Address, list[PeerId]] = {}
-        for i, pid in enumerate(self.peer_ids):
-            if pid in self.failed:
-                continue
-            live.append(self._ints[i])
-            for addr in self.stores[pid]:
-                holders.setdefault(addr, []).append(pid)
-        live.sort()
-        return live, holders
+        live peers hold mapped to its live holders. Retrieval never writes a
+        store or changes failures, so one index serves a whole retrieve call."""
+        failed = self.failed
+        live = sorted(n for pid, n in zip(self.peer_ids, self._ints) if pid not in failed)
+        return live, holders(self.stores, skip=failed)
 
     def _locate(
         self,
@@ -241,8 +246,8 @@ class Network:
             payload = probe(pid)
             if payload is not None:
                 return payload, probes
-        live, holders = index()
-        found = holders.get(addr)
+        live, held = index()
+        found = held.get(addr)
         if not found:
             return None, probes + len(live) - len(seen)
         a = int.from_bytes(addr, "big")
@@ -453,6 +458,8 @@ def _stores_digest(
 #                               field order, then census_digest
 # <dir>/backend-<i>/<peer-hex>/<chunk-hex>   raw chunk payloads
 
+_CHUNK_NAME = re.compile("[0-9a-f]{64}")
+
 
 def save_snapshot(snap: Snapshot, directory: str | Path) -> Path:
     """Write a snapshot to disk, replacing any snapshot already there.
@@ -526,7 +533,11 @@ def save_snapshot(snap: Snapshot, directory: str | Path) -> Path:
 
 def load_snapshot(directory: str | Path) -> Snapshot:
     """Read a snapshot from disk, verifying payload hashes and the census
-    digest recorded in its manifest."""
+    digest recorded in its manifest. The root may hold only manifest.txt
+    and backend-<i> directories with i < num_backends, each of those only
+    the directories of its own peers, and those only files named by 64
+    lowercase hex digits; anything else is corrupt. A missing peer
+    directory is an empty store."""
     root = Path(directory)
     manifest = root / "manifest.txt"
     if not manifest.is_file():
@@ -545,25 +556,35 @@ def load_snapshot(directory: str | Path) -> Snapshot:
 
     peer_ids = make_peer_ids(config.num_peers, config.seed)
     assignment = backend_assignment(config.num_peers, config.num_backends)
-    stores: dict[PeerId, dict[Address, bytes]] = {}
+    owners = {(f"backend-{b}", pid.hex()): pid for b, pid in zip(assignment, peer_ids)}
+    backends = {f"backend-{b}" for b in range(config.num_backends)}
+    stores: dict[PeerId, dict[Address, bytes]] = {pid: {} for pid in peer_ids}
     # replicas are equal, so each address keeps one payload object; a file
     # with other bytes is hash-checked like the first
     verified: dict[Address, bytes] = {}
-    for index, pid in enumerate(peer_ids):
-        store: dict[Address, bytes] = {}
-        peer_dir = root / f"backend-{assignment[index]}" / pid.hex()
-        if peer_dir.is_dir():
-            for entry in sorted(peer_dir.iterdir()):
+    for backend in sorted(root.iterdir()):
+        if backend.name == "manifest.txt":
+            continue
+        if backend.name not in backends or not backend.is_dir():
+            raise SwarmSimError(f"corrupt snapshot: {backend} does not belong in it")
+        for peer_dir in sorted(backend.iterdir()):
+            pid = owners.get((backend.name, peer_dir.name))
+            if pid is None or not peer_dir.is_dir():
+                raise SwarmSimError(f"corrupt snapshot: {peer_dir} does not belong in it")
+            store = stores[pid]
+            for entry in sorted(os.scandir(peer_dir), key=lambda e: e.name):
+                if not (_CHUNK_NAME.fullmatch(entry.name) and entry.is_file()):
+                    raise SwarmSimError(f"corrupt snapshot: {entry.path} is not a chunk file")
                 addr = bytes.fromhex(entry.name)
-                payload = entry.read_bytes()
+                with open(entry, "rb") as chunk:
+                    payload = chunk.read()
                 if payload != verified.get(addr):
                     if hashlib.sha256(payload).digest() != addr:
                         raise SwarmSimError(
-                            f"corrupt snapshot: {entry} does not hash to its name"
+                            f"corrupt snapshot: {entry.path} does not hash to its name"
                         )
                     verified[addr] = payload
                 store[addr] = verified[addr]
-        stores[pid] = store
     digest = _stores_digest(peer_ids, stores)
     if digest != recorded_digest:
         raise SwarmSimError(

@@ -32,7 +32,7 @@ from .errors import (
     SyncModeError,
     UnderReplicatedError,
 )
-from .netsim import SYNC_NONE
+from .netsim import SYNC_NONE, holders
 from .overlay import PeerId
 
 DeletionEntry = tuple[PeerId, Address]
@@ -150,13 +150,10 @@ def placement_from_network(network, files: dict[str, Sequence[Address]]) -> Plac
 
 
 def holders_map(network, addresses: Iterable[Address]) -> dict[Address, set[PeerId]]:
-    """Current holders per address, empty sets included. One pass over the
-    stores in peer order, so every holder set is built in that order."""
-    holders: dict[Address, set[PeerId]] = {addr: set() for addr in addresses}
-    for pid in network.peer_ids:
-        for addr in holders.keys() & network.stores[pid].keys():
-            holders[addr].add(pid)
-    return holders
+    """Current holders per address, failed peers included and empty sets
+    for addresses nobody holds; each set is built in peer order."""
+    held = holders(network.stores)
+    return {addr: set(held.get(addr, ())) for addr in addresses}
 
 
 # -- bakedeletion ------------------------------------------------------------
@@ -179,32 +176,27 @@ def bakedeletion(placement: PlacementMap, target_r: int) -> list[DeletionEntry]:
                 f"below target {target_r}"
             )
 
+    # one pass: the files of each chunk, in sorted order, and the held chunks
+    # that can cover each (peer, file) rule-A obligation
     files_of: dict[Address, list[str]] = defaultdict(list)
+    held_in_file: dict[tuple[PeerId, str], set[Address]] = {}
     for fid in sorted(placement.files):
-        for addr in placement.files[fid]:
-            if fid not in files_of[addr]:
-                files_of[addr].append(fid)
-
-    # a file whose chunks all end with target_r replicas retains at most
-    # target_r * chunk_count distinct holders, so rule A caps the holder set
-    for fid in sorted(placement.files):
-        addrs = set(placement.files[fid])
-        holders = {p for a in addrs for p in chunk_to_peers[a]}
+        addrs = dict.fromkeys(placement.files[fid])
+        held: dict[PeerId, set[Address]] = defaultdict(set)
+        for addr in addrs:
+            files_of[addr].append(fid)
+            for pid in chunk_to_peers[addr]:
+                held[pid].add(addr)
+        # a file whose chunks all end with target_r replicas retains at most
+        # target_r * chunk_count distinct holders, so rule A caps the holder set
         slots = target_r * len(addrs)
-        if len(holders) > slots:
+        if len(held) > slots:
             raise InfeasiblePlanError(
-                f"rule A requires all {len(holders)} holders of file {fid} "
+                f"rule A requires all {len(held)} holders of file {fid} "
                 f"to keep a chunk, but target {target_r} leaves only "
                 f"{slots} replica slots"
             )
-
-    # rule-A obligations: which held chunks can cover each (peer, file) pair
-    held_in_file: dict[tuple[PeerId, str], list[Address]] = defaultdict(list)
-    for fid in sorted(placement.files):
-        for addr in placement.files[fid]:
-            for pid in chunk_to_peers[addr]:
-                if addr not in held_in_file[(pid, fid)]:
-                    held_in_file[(pid, fid)].append(addr)
+        held_in_file |= {(pid, fid): chunks for pid, chunks in held.items()}
 
     keep, starved = _cover_keep(chunk_to_peers, files_of, held_in_file, target_r)
     if starved and len(placement.files) == 1:
@@ -226,7 +218,7 @@ def bakedeletion(placement: PlacementMap, target_r: int) -> list[DeletionEntry]:
 def _cover_keep(
     chunk_to_peers: dict[Address, set[PeerId]],
     files_of: dict[Address, list[str]],
-    held_in_file: dict[tuple[PeerId, str], list[Address]],
+    held_in_file: dict[tuple[PeerId, str], set[Address]],
     target_r: int,
 ) -> tuple[dict[Address, set[PeerId]], list[tuple[PeerId, str]]]:
     """Assign each (peer, file) obligation a kept chunk, at most target_r
@@ -270,12 +262,14 @@ def _cover_keep(
         the placement need no recursion: it yields each obligation an
         eviction orphans, is sent whether re-covering that one succeeded,
         and returns its own success."""
-        options = sorted(held_in_file[(pid, fid)], key=lambda a: (len(keep[a]), a))
-        for addr in options:
-            if len(keep[addr]) < target_r:
-                put(addr, pid)
-                return True
-        for addr in options:
+        # no chunk ever has more than target_r keepers, so when the least
+        # kept option is full they all are, and address order alone remains
+        held = held_in_file[(pid, fid)]
+        addr = min(held, key=lambda a: (len(keep[a]), a))
+        if len(keep[addr]) < target_r:
+            put(addr, pid)
+            return True
+        for addr in sorted(held):
             for out in sorted(keep[addr]):
                 if (addr, out) in visited:
                     continue
@@ -283,11 +277,8 @@ def _cover_keep(
                 mark = len(undo)
                 evict(addr, out)
                 put(addr, pid)
-                orphans = [
-                    (out, f)
-                    for f in files_of[addr]
-                    if (out, f) in held_in_file and not covered(out, f)
-                ]
+                # out held addr, so (out, f) is an obligation for every file f of addr
+                orphans = [(out, f) for f in files_of[addr] if not covered(out, f)]
                 for orphan in orphans:
                     if not (yield orphan):
                         break

@@ -369,6 +369,30 @@ class TestSnapshotRestore:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["saved"]
         assert [p.name for p in out.iterdir()] == ["notes.txt"]
 
+    @pytest.mark.parametrize(
+        "stray", ["backend-0/" + "ee" * 32, "backend-99", "notes"],
+        ids=["unknown-peer", "backend-99", "notes"],
+    )
+    def test_snapshot_of_a_state_with_a_stray_entry_exits_1(self, tmp_path, state, stray):
+        source = tmp_path / "net"
+        shutil.copytree(state["dir"], source)
+        (source / stray).mkdir()
+        code, stdout, err = cli("snapshot", "--state", source, "--out", tmp_path / "saved")
+        assert code == EX_USAGE
+        assert stdout == ""
+        assert err == f"error: corrupt snapshot: {source / stray} does not belong in it\n"
+        assert not (tmp_path / "saved").exists()
+
+    def test_snapshot_of_a_state_with_a_stray_file_in_a_peer_exits_1(self, tmp_path, state):
+        source = tmp_path / "net"
+        shutil.copytree(state["dir"], source)
+        notes = next(source.glob("backend-*/*")) / "notes"
+        notes.write_text("mine")
+        code, stdout, err = cli("snapshot", "--state", source, "--out", tmp_path / "saved")
+        assert code == EX_USAGE
+        assert stdout == ""
+        assert err == f"error: corrupt snapshot: {notes} is not a chunk file\n"
+
     def test_copies_match_their_source_byte_for_byte(self, tmp_path, state):
         saved, restored = tmp_path / "saved", tmp_path / "restored"
         code, digest, _ = cli("snapshot", "--state", state["dir"], "--out", saved)

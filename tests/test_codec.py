@@ -336,6 +336,49 @@ class TestEncodedManifestText:
         with pytest.raises(ValueError, match="coding groups"):
             parse_manifest_text("\n".join(kept) + "\n")
 
+    @pytest.mark.parametrize(
+        "layout",
+        [
+            "group level=0 data=D0 parity=P data=D1 D2",
+            "group level=0 parity=P data=D0 D1 D2",
+            "group level=x data=D0 D1 D2 parity=P",
+            "group level=-0 data=D0 D1 D2 parity=P",
+            "group level= data=D0 D1 D2 parity=P",
+            "group level=0 data=D0 D1 D2",
+            "group level=0 data=D0 D1 D2 parity=P parity=P",
+            "group  level=0 data=D0 D1 D2 parity=P",
+            "group level=0 data=D0 D1 D2 parity=P kind=x",
+        ],
+    )
+    def test_group_line_outside_the_written_layout_is_malformed(self, layout):
+        _, manifest, chunks = fig_tree("layout-strict")
+        encoded, _ = encode_tree(manifest, chunks, CodingParams(k=3, n=4))
+        first = encoded.groups[0]
+        line = layout.replace("P", first.parity_addresses[0].hex())
+        for i, addr in enumerate(first.data_addresses):
+            line = line.replace(f"D{i}", addr.hex())
+        text = manifest_text(encoded)
+        written = text.splitlines()[-len(encoded.groups)]
+        assert written.startswith("group level=0 data=")
+        with pytest.raises(ValueError, match="^malformed group line: "):
+            parse_manifest_text(text.replace(written, line))
+
+    def test_group_line_without_data_addresses(self):
+        _, manifest, chunks = fig_tree("layout-empty")
+        encoded, _ = encode_tree(manifest, chunks, CodingParams(k=3, n=4))
+        text = manifest_text(encoded)
+        written = text.splitlines()[-1]
+        bare = "group level=1 data= parity=" + encoded.groups[-1].parity_addresses[0].hex()
+        with pytest.raises(ValueError, match="^group line has no data addresses: "):
+            parse_manifest_text(text.replace(written, bare))
+
+    def test_group_line_with_empty_parity_when_n_equals_k(self):
+        _, manifest, chunks = fig_tree("layout-n-eq-k")
+        encoded, _ = encode_tree(manifest, chunks, CodingParams(k=3, n=3))
+        text = manifest_text(encoded)
+        assert text.splitlines()[-1].endswith(" parity=")
+        assert parse_manifest_text(text) == encoded
+
     def test_rejects_malformed_group_line(self):
         _, manifest, chunks = fig_tree("badline")
         encoded, _ = encode_tree(manifest, chunks, CodingParams(k=3, n=4))

@@ -1,5 +1,6 @@
 import errno
 import os
+import shutil
 from collections import Counter
 from dataclasses import fields
 from pathlib import Path
@@ -21,6 +22,7 @@ from swarmsim.netsim import (
     SYNC_FULL,
     SYNC_NONE,
     backend_assignment,
+    holders,
     load_snapshot,
     network_from_snapshot,
     save_snapshot,
@@ -408,6 +410,102 @@ class TestDiskSnapshots:
         loaded = load_snapshot(tmp_path / "snap")
         assert sum(len(s) for s in loaded.stores.values()) == 0
 
+
+
+def saved_ten_peers(tmp_path):
+    """A saved 10-peer state on the default 29 backends with one upload,
+    plus the network it came from."""
+    net = small_net(10, 2, view_size=4)
+    net.upload(seeded_bytes(9_000, "strict"), ChunkParams())
+    return net, save_snapshot(net.snapshot(), tmp_path / "snap")
+
+
+def some_chunk(root: Path) -> Path:
+    return next(root.glob("backend-*/*/*"))
+
+
+class TestStrictLoad:
+    """Everything under a snapshot is named by its layout; anything else
+    is corruption, reported with its path."""
+
+    def corrupt(self, root: Path, path: Path) -> None:
+        with pytest.raises(SwarmSimError, match="corrupt snapshot: ") as err:
+            load_snapshot(root)
+        assert str(path) in str(err.value)
+
+    def test_unknown_peer_directory(self, tmp_path):
+        _, root = saved_ten_peers(tmp_path)
+        stray = root / "backend-0" / ("ee" * 32)
+        stray.mkdir()
+        chunk = some_chunk(root)
+        (stray / chunk.name).write_bytes(chunk.read_bytes())
+        self.corrupt(root, stray)
+
+    def test_peer_directory_on_the_wrong_backend(self, tmp_path):
+        net, root = saved_ten_peers(tmp_path)
+        misplaced = root / "backend-3" / net.peer_ids[0].hex()
+        misplaced.mkdir(parents=True)
+        chunk = some_chunk(root)
+        (misplaced / chunk.name).write_bytes(chunk.read_bytes())
+        self.corrupt(root, misplaced)
+
+    @pytest.mark.parametrize("name", ["backend-99", "backend-29", "backend-01", "notes"])
+    def test_root_entry_outside_the_layout(self, tmp_path, name):
+        _, root = saved_ten_peers(tmp_path)
+        (root / name).mkdir()
+        self.corrupt(root, root / name)
+
+    def test_root_file_named_like_a_backend(self, tmp_path):
+        _, root = saved_ten_peers(tmp_path)
+        (root / "backend-12").write_bytes(b"")
+        self.corrupt(root, root / "backend-12")
+
+    def test_peer_path_that_is_a_file(self, tmp_path):
+        net, root = saved_ten_peers(tmp_path)
+        peer_dir = root / "backend-4" / net.peer_ids[4].hex()
+        shutil.rmtree(peer_dir)
+        peer_dir.write_bytes(b"")
+        self.corrupt(root, peer_dir)
+
+    @pytest.mark.parametrize("name", ["notes", "AA" * 32, "aa" * 31, "aa" * 33])
+    def test_peer_directory_entry_not_named_by_an_address(self, tmp_path, name):
+        _, root = saved_ten_peers(tmp_path)
+        stray = some_chunk(root).parent / name
+        stray.write_bytes(b"notes")
+        self.corrupt(root, stray)
+
+    def test_directory_named_by_an_address(self, tmp_path):
+        _, root = saved_ten_peers(tmp_path)
+        stray = some_chunk(root).parent / ("dd" * 32)
+        stray.mkdir()
+        self.corrupt(root, stray)
+
+    def test_missing_peer_directories_and_empty_backends_still_load(self, tmp_path):
+        net = small_net(10, 2, view_size=4)
+        net.upload(seeded_bytes(9_000, "strict"), ChunkParams())
+        for i in (3, 7):
+            net.stores[net.peer_ids[i]].clear()
+        root = save_snapshot(net.snapshot(), tmp_path / "snap")
+        for i in (3, 7):
+            (root / f"backend-{i}" / net.peer_ids[i].hex()).rmdir()
+        (root / "backend-28").mkdir()
+        loaded = load_snapshot(root)
+        assert loaded.stores == net.snapshot().stores
+
+
+class TestHolders:
+    def test_holders_in_store_order_with_skip(self):
+        a, b, c = (bytes([i]) * 32 for i in (1, 2, 3))
+        stores = {b"q": {a: b"", b: b""}, b"p": {b: b"", c: b""}, b"r": {}, b"s": {a: b""}}
+        assert holders(stores) == {a: [b"q", b"s"], b: [b"q", b"p"], c: [b"p"]}
+        assert list(holders(stores)) == [a, b, c]
+        assert holders(stores, skip={b"q"}) == {b: [b"p"], c: [b"p"], a: [b"s"]}
+        assert list(holders(stores, skip={b"q"})) == [b, c, a]
+        assert holders(stores, skip=set(stores)) == {}
+
+    def test_empty_stores(self):
+        assert holders({}) == {}
+        assert holders({b"p": {}, b"q": {}}) == {}
 
 
 def reference_save(snap, root: Path) -> None:
