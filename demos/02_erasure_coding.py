@@ -9,11 +9,11 @@ takes its whole subtree with it.
 """
 
 import itertools
+from dataclasses import replace
 
 from swarmsim import (
     ChunkParams,
     CodingParams,
-    EncodedManifest,
     MissingChunkError,
     UnrecoverableGroupError,
     build_tree,
@@ -53,11 +53,7 @@ store.update(parity_chunks)
 del store[manifest.levels[1][0]]
 
 # a leaf-only code has no parity covering that level
-leaf_only = EncodedManifest(
-    base=manifest,
-    params=encoded.params,
-    groups=[g for g in encoded.groups if g.level == 0],
-)
+leaf_only = replace(encoded, groups=[g for g in encoded.groups if g.level == 0])
 try:
     repair_retrieve(manifest.root, store.get, leaf_only)
     print("leaf-only coding: recovered (unexpected)")

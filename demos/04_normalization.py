@@ -19,7 +19,6 @@ from swarmsim import (
     combinestorage,
     deletechunks,
     listchunks,
-    manifest_root,
     placement_from_network,
     spawn_network,
 )
@@ -36,9 +35,7 @@ manifests = [
 before = census(network)
 print("replicas per chunk after upload:", before.replicas_per_chunk)
 
-files = {
-    manifest_root(m).hex(): tuple(listchunks(m)) for m in manifests
-}
+files = {m.root.hex(): tuple(listchunks(m)) for m in manifests}
 placement = placement_from_network(network, files)
 
 # plan each file separately, then merge and re-verify jointly

@@ -11,10 +11,13 @@ the file size is enough to fetch and rebuild the whole file.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
-from typing import Callable, Container, Iterable, Optional
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Callable, Container, Iterable, Optional
 
 from .errors import MalformedChunkError, MissingChunkError
+
+if TYPE_CHECKING:
+    from .codec import CodingGroup, CodingParams
 
 ADDRESS_SIZE = 32
 
@@ -48,17 +51,25 @@ class ChunkParams:
 
 @dataclass
 class FileManifest:
-    """Merkle tree layout of one file.
+    """Merkle tree layout of one file, plus its coding groups if coded.
 
     levels holds the per-level address lists, leaves first; the last level
     contains exactly the root. The file size is recorded here because chunk
-    payloads carry no padding or length metadata.
+    payloads carry no padding or length metadata. A coded file has coding
+    set and one group per run of its non-root levels; a single-chunk coded
+    file has coding set and no groups.
     """
 
     root: Address
     levels: list[list[Address]]
     file_size: int
     params: ChunkParams
+    coding: CodingParams | None = None
+    groups: list[CodingGroup] = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        if self.groups and self.coding is None:
+            raise ValueError("coding groups need coding parameters")
 
 
 def split_file(data: bytes, params: ChunkParams = ChunkParams()) -> list[bytes]:
@@ -186,9 +197,16 @@ def level_payload_lengths(manifest: FileManifest) -> list[list[int]]:
 
 
 def parse_address(token: str) -> Address:
-    if len(token) != 2 * ADDRESS_SIZE:
-        raise ValueError(f"bad address {token!r}: expected 64 hex characters")
-    return bytes.fromhex(token)
+    """The address a token spells. Its one text form, in every format and
+    snapshot file name, is exactly 64 lowercase hex digits: the only tokens
+    that come back unchanged from bytes.fromhex and hex()."""
+    try:
+        addr = bytes.fromhex(token)
+    except ValueError:
+        addr = b""
+    if len(addr) != ADDRESS_SIZE or addr.hex() != token:
+        raise ValueError(f"bad address {token!r}: expected 64 hex characters, lowercase")
+    return addr
 
 
 def parse_keys(lines: Iterable[str], allowed: Container[str], what: str) -> dict[str, str]:

@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from .chunker import ChunkParams
-from .codec import CodingParams, manifest_root, manifest_text, parse_manifest_text
+from .codec import CodingParams, manifest_text, parse_manifest_text
 from .errors import InfeasiblePlanError, SwarmSimError
 from .harness import (
     CONFIG_KEYS,
@@ -188,7 +188,7 @@ def _cmd_upload(args, stdout) -> int:
     _save_network(network, args.state)
     if args.out:
         Path(args.out).write_text(manifest_text(manifest))
-    print(manifest_root(manifest).hex(), file=stdout)
+    print(manifest.root.hex(), file=stdout)
     return EX_OK
 
 
@@ -291,7 +291,7 @@ def _cmd_stats(args, stdout) -> int:
         files = {}
         for path in args.manifest:
             manifest = parse_manifest_text(Path(path).read_text())
-            files[manifest_root(manifest).hex()] = listchunks(manifest)
+            files[manifest.root.hex()] = listchunks(manifest)
         placement = placement_from_network(network, files)
         Path(args.placement_out).write_text(placement_to_text(placement))
     elif args.placement_out:

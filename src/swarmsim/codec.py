@@ -14,7 +14,7 @@ code, keeping the parity count uniform across groups.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Optional
 
 import numpy as np
@@ -218,23 +218,15 @@ class CodingGroup:
     parity_addresses: list[Address]
 
 
-@dataclass
-class EncodedManifest:
-    """A file manifest plus the coding groups laid over its tree levels."""
-
-    base: FileManifest
-    params: CodingParams
-    groups: list[CodingGroup]
-
-
 def encode_tree(
     manifest: FileManifest, chunks: dict[Address, bytes], params: CodingParams
-) -> tuple[EncodedManifest, dict[Address, bytes]]:
+) -> tuple[FileManifest, dict[Address, bytes]]:
     """Partition every non-root level left-to-right into groups of at most k
     chunks and compute parity for each group.
 
-    Returns the encoded manifest and the parity chunks by content address.
-    A single-chunk file has no non-root level and gets no groups.
+    Returns the manifest with its coding and groups set, and the parity
+    chunks by content address. A single-chunk file has no non-root level
+    and gets no groups.
     """
     groups: list[CodingGroup] = []
     parity_chunks: dict[Address, bytes] = {}
@@ -245,7 +237,7 @@ def encode_tree(
             parity_chunks[addr] = payload
             parity_addrs.append(addr)
         groups.append(CodingGroup(level_index, data_addrs, parity_addrs))
-    return EncodedManifest(manifest, params, groups), parity_chunks
+    return replace(manifest, coding=params, groups=groups), parity_chunks
 
 
 def _group_runs(
@@ -258,13 +250,13 @@ def _group_runs(
             yield level_index, level[start : start + k]
 
 
-def group_data_lengths(encoded: EncodedManifest) -> list[list[int]]:
+def group_data_lengths(manifest: FileManifest) -> list[list[int]]:
     """Original payload lengths of each group's data chunks, in group order,
     derived from the tree geometry."""
-    per_level = level_payload_lengths(encoded.base)
+    per_level = level_payload_lengths(manifest)
     out = []
-    cursor = {li: 0 for li in range(len(encoded.base.levels))}
-    for group in encoded.groups:
+    cursor = {li: 0 for li in range(len(manifest.levels))}
+    for group in manifest.groups:
         start = cursor[group.level]
         stop = start + len(group.data_addresses)
         out.append(per_level[group.level][start:stop])
@@ -272,25 +264,23 @@ def group_data_lengths(encoded: EncodedManifest) -> list[list[int]]:
     return out
 
 
-def address_lengths(manifest: FileManifest | EncodedManifest) -> dict[Address, int]:
+def address_lengths(manifest: FileManifest) -> dict[Address, int]:
     """Payload length of every address of a file, from the tree geometry; a
     parity chunk is as long as the longest data chunk of its group."""
-    base = base_manifest(manifest)
     lengths = {
         addr: size
-        for level, row in zip(base.levels, level_payload_lengths(base))
+        for level, row in zip(manifest.levels, level_payload_lengths(manifest))
         for addr, size in zip(level, row)
     }
-    if isinstance(manifest, EncodedManifest):
-        for group, data_lengths in zip(manifest.groups, group_data_lengths(manifest)):
-            lengths.update(dict.fromkeys(group.parity_addresses, max(data_lengths)))
+    for group, data_lengths in zip(manifest.groups, group_data_lengths(manifest)):
+        lengths.update(dict.fromkeys(group.parity_addresses, max(data_lengths)))
     return lengths
 
 
 def repair_retrieve(
     root: Address,
     fetch: Callable[[Address], Optional[bytes]],
-    encoded: EncodedManifest,
+    manifest: FileManifest,
     on_group_repaired: Callable[[CodingGroup], None] | None = None,
 ) -> bytes:
     """Rebuild a file, decoding coding groups for any chunks fetch cannot
@@ -302,9 +292,9 @@ def repair_retrieve(
     symbols, MissingChunkError for an unresolvable ungrouped chunk (the
     root).
     """
-    lengths = group_data_lengths(encoded)
+    lengths = group_data_lengths(manifest)
     member_of: dict[Address, int] = {}
-    for gi, group in enumerate(encoded.groups):
+    for gi, group in enumerate(manifest.groups):
         for addr in group.data_addresses + group.parity_addresses:
             member_of.setdefault(addr, gi)
 
@@ -324,7 +314,7 @@ def repair_retrieve(
         return payload
 
     def repair(gi: int) -> None:
-        group = encoded.groups[gi]
+        group = manifest.groups[gi]
         kk = len(lengths[gi])
         members = group.data_addresses + group.parity_addresses
         present: list[tuple[int, bytes]] = []
@@ -336,7 +326,7 @@ def repair_retrieve(
                     break
         if len(present) < kk:
             raise UnrecoverableGroupError(group.level, gi, kk, len(present))
-        repaired = rs_decode(present, encoded.params, lengths[gi])
+        repaired = rs_decode(present, manifest.coding, lengths[gi])
         for addr, payload in zip(group.data_addresses, repaired):
             if content_address(payload) != addr:
                 raise DecodingError(
@@ -357,32 +347,22 @@ def repair_retrieve(
         repair(gi)
         return memo.get(addr)
 
-    return reassemble(root, resolve, encoded.base.params, encoded.base.file_size)
+    return reassemble(root, resolve, manifest.params, manifest.file_size)
 
 
-def base_manifest(manifest: FileManifest | EncodedManifest) -> FileManifest:
-    """The plain tree manifest of either flavour."""
-    return manifest.base if isinstance(manifest, EncodedManifest) else manifest
-
-
-def manifest_root(manifest: FileManifest | EncodedManifest) -> Address:
-    return base_manifest(manifest).root
-
-
-def manifest_text(manifest: FileManifest | EncodedManifest) -> str:
-    """Serialize either manifest flavour: filesize and branching lines, a
-    chunksize line unless the chunk size is the default 4096, k and n lines
-    if encoded, one line of space-separated addresses per level (leaves
-    first), then one group line per coding group."""
-    encoded = isinstance(manifest, EncodedManifest)
-    base = base_manifest(manifest)
-    lines = [f"filesize={base.file_size}", f"branching={base.params.branching}"]
-    if base.params.chunk_size != ChunkParams.chunk_size:
-        lines.append(f"chunksize={base.params.chunk_size}")
-    if encoded:
-        lines += [f"k={manifest.params.k}", f"n={manifest.params.n}"]
-    lines += [" ".join(a.hex() for a in level) for level in base.levels]
-    for group in manifest.groups if encoded else ():
+def manifest_text(manifest: FileManifest) -> str:
+    """Serialize a manifest: filesize and branching lines, a chunksize line
+    unless the chunk size is the default 4096, k and n lines if coded, one
+    line of space-separated addresses per level (leaves first), then one
+    group line per coding group."""
+    params, coding = manifest.params, manifest.coding
+    lines = [f"filesize={manifest.file_size}", f"branching={params.branching}"]
+    if params.chunk_size != ChunkParams.chunk_size:
+        lines.append(f"chunksize={params.chunk_size}")
+    if coding is not None:
+        lines += [f"k={coding.k}", f"n={coding.n}"]
+    lines += [" ".join(a.hex() for a in level) for level in manifest.levels]
+    for group in manifest.groups:
         data = " ".join(a.hex() for a in group.data_addresses)
         parity = " ".join(a.hex() for a in group.parity_addresses)
         lines.append(f"group level={group.level} data={data} parity={parity}")
@@ -392,8 +372,8 @@ def manifest_text(manifest: FileManifest | EncodedManifest) -> str:
 _MANIFEST_KEYS = ("filesize", "branching", "chunksize", "k", "n")
 
 
-def parse_manifest_text(text: str) -> FileManifest | EncodedManifest:
-    """Parse either manifest flavour; k=, n= or group lines mark the encoded
+def parse_manifest_text(text: str) -> FileManifest:
+    """Parse a plain or coded manifest; k=, n= or group lines mark a coded
     one. Without a chunksize line the chunk size is 4096. A key the writer
     never emits, or a key given twice, is rejected, so a misspelt or
     repeated key cannot fall back to a default or override another."""
@@ -427,13 +407,12 @@ def parse_manifest_text(text: str) -> FileManifest | EncodedManifest:
     got, expected = [len(level) for level in levels], tree_shape(file_size, params)
     if got != expected:
         raise ValueError(f"level sizes {got} do not match geometry {expected}")
-    base = FileManifest(levels[-1][0], levels, file_size, params)
-    if not encoded:
-        return base
-    coding = CodingParams(k=int(keys["k"]), n=int(keys["n"]))
+    coding = CodingParams(k=int(keys["k"]), n=int(keys["n"])) if encoded else None
     groups = [_parse_group_line(line) for line in group_lines]
-    _check_groups(base, groups, coding)
-    return EncodedManifest(base, coding, groups)
+    manifest = FileManifest(levels[-1][0], levels, file_size, params, coding, groups)
+    if coding is not None:
+        _check_groups(manifest, groups, coding)
+    return manifest
 
 
 def _parse_group_line(line: str) -> CodingGroup:
@@ -451,11 +430,11 @@ def _parse_group_line(line: str) -> CodingGroup:
 
 
 def _check_groups(
-    base: FileManifest, groups: list[CodingGroup], params: CodingParams
+    manifest: FileManifest, groups: list[CodingGroup], params: CodingParams
 ) -> None:
     """Groups must partition every non-root level left to right in k-sized
     runs, with n - k parity addresses each."""
-    expected = list(_group_runs(base, params.k))
+    expected = list(_group_runs(manifest, params.k))
     if len(groups) != len(expected):
         raise ValueError(
             f"expected {len(expected)} coding groups, found {len(groups)}"

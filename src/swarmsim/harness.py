@@ -15,19 +15,12 @@ from __future__ import annotations
 
 import logging
 from collections import Counter, defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .chunker import Address, ChunkParams, FileManifest, build_tree, parse_keys, split_file
-from .codec import (
-    CodingParams,
-    EncodedManifest,
-    address_lengths,
-    base_manifest,
-    encode_tree,
-    manifest_root,
-)
-from .errors import InfeasiblePlanError, SwarmSimError
+from .codec import CodingParams, address_lengths, encode_tree
+from .errors import InfeasiblePlanError, SnapshotMismatchError, SwarmSimError
 from .netsim import Network, RetrievalStats, SimConfig, Snapshot, SYNC_NONE, holders, spawn_network
 from .overlay import PeerId
 from .seeds import derive_int, derive_rng, seeded_bytes
@@ -105,7 +98,7 @@ class AvailabilityResult:
 @dataclass
 class PrepareResult:
     snapshot: Snapshot
-    manifests: list[FileManifest | EncodedManifest]
+    manifests: list[FileManifest]
     file_ids: list[str]
     files: dict[str, tuple[Address, ...]]
     census_before: CensusReport
@@ -138,20 +131,16 @@ def file_bytes(config: ExperimentConfig, index: int) -> bytes:
     return seeded_bytes(config.file_sizes[index], "file", config.sim.seed, index)
 
 
-def derive_manifests(
-    config: ExperimentConfig,
-) -> list[FileManifest | EncodedManifest]:
+def derive_manifests(config: ExperimentConfig) -> list[FileManifest]:
     """Rebuild every file's manifest without touching a network; byte-for-byte
     the manifests upload() produces for the same config."""
-    manifests: list[FileManifest | EncodedManifest] = []
+    manifests: list[FileManifest] = []
     for index in range(len(config.file_sizes)):
         data = file_bytes(config, index)
         manifest, chunks = build_tree(split_file(data, config.chunk), config.chunk)
         if config.coding is not None:
-            encoded, _ = encode_tree(manifest, chunks, config.coding)
-            manifests.append(encoded)
-        else:
-            manifests.append(manifest)
+            manifest, _ = encode_tree(manifest, chunks, config.coding)
+        manifests.append(manifest)
     return manifests
 
 
@@ -169,11 +158,11 @@ def prepare(network: Network, config: ExperimentConfig) -> PrepareResult:
     apply the deletions, then verify rules A-D against an independently
     recomputed census before snapshotting.
     """
-    manifests: list[FileManifest | EncodedManifest] = []
+    manifests: list[FileManifest] = []
     for index in range(len(config.file_sizes)):
         data = file_bytes(config, index)
         manifests.append(network.upload(data, config.chunk, config.coding))
-    file_ids = [manifest_root(m).hex() for m in manifests]
+    file_ids = [m.root.hex() for m in manifests]
     files = {fid: tuple(listchunks(m)) for fid, m in zip(file_ids, manifests)}
     logger.info("uploaded %d files, %d distinct chunks",
                 len(file_ids), len({a for f in files.values() for a in f}))
@@ -217,14 +206,14 @@ def prepare(network: Network, config: ExperimentConfig) -> PrepareResult:
 
 
 def _file_overheads(
-    snapshot: Snapshot, manifests: list[FileManifest | EncodedManifest]
+    snapshot: Snapshot, manifests: list[FileManifest]
 ) -> dict[str, float]:
     """Stored bytes over original bytes per file, measured on the snapshot."""
     held = holders(snapshot.stores)
     overheads: dict[str, float] = {}
     for manifest in manifests:
         stored = sum(len(held.get(a, ())) * n for a, n in address_lengths(manifest).items())
-        overheads[manifest_root(manifest).hex()] = stored / base_manifest(manifest).file_size
+        overheads[manifest.root.hex()] = stored / manifest.file_size
     return overheads
 
 
@@ -236,8 +225,13 @@ def run_iterations(
     The views are checked for connectivity once, since restoring keeps
     them. Each iteration then restores the snapshot, checks syncing is off,
     fails a seeded peer set, and retrieves every file through a seeded live
-    entry peer.
+    entry peer. Those draws come from config, so a snapshot of another
+    network raises SnapshotMismatchError; only the sync mode may differ.
     """
+    for f in fields(SimConfig):
+        held, wanted = getattr(snapshot.config, f.name), getattr(config.sim, f.name)
+        if held != wanted and f.name != "sync_mode":
+            raise SnapshotMismatchError(f"snapshot has {f.name}={held}, config has {wanted}")
     manifests = derive_manifests(config)
     overheads = _file_overheads(snapshot, manifests)
     network = spawn_network(snapshot.config)
@@ -258,7 +252,7 @@ def run_iterations(
                 rng = derive_rng("entry", config.sim.seed, fi, iteration)
                 entry = live[rng.randrange(len(live))]
             for manifest in manifests:
-                fid = manifest_root(manifest).hex()
+                fid = manifest.root.hex()
                 stats = RetrievalStats()
                 if entry is not None:
                     _, stats = network.retrieve(manifest, entry)

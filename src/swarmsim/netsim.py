@@ -18,7 +18,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import os
-import re
 import shutil
 from collections import defaultdict
 from dataclasses import dataclass, field, fields, replace
@@ -26,8 +25,17 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Callable, Container, Mapping
 
-from .chunker import Address, ChunkParams, FileManifest, build_tree, parse_keys, reassemble, split_file
-from .codec import CodingParams, EncodedManifest, encode_tree, repair_retrieve
+from .chunker import (
+    Address,
+    ChunkParams,
+    FileManifest,
+    build_tree,
+    parse_address,
+    parse_keys,
+    reassemble,
+    split_file,
+)
+from .codec import CodingParams, encode_tree, repair_retrieve
 from .errors import (
     ConnectivityError,
     DecodingError,
@@ -264,7 +272,7 @@ class Network:
         data: bytes,
         params: ChunkParams | None = None,
         coding: CodingParams | None = None,
-    ) -> FileManifest | EncodedManifest:
+    ) -> FileManifest:
         """Chunk, optionally erasure-code, and place a file on the network.
 
         Every chunk (parity included) is routed from a seeded entry peer;
@@ -275,12 +283,10 @@ class Network:
         params = params or ChunkParams()
         leaves = split_file(data, params)
         manifest, chunks = build_tree(leaves, params)
-        result: FileManifest | EncodedManifest = manifest
         if coding is not None:
-            encoded, parity = encode_tree(manifest, chunks, coding)
+            manifest, parity = encode_tree(manifest, chunks, coding)
             chunks = dict(chunks)
             chunks.update(parity)
-            result = encoded
 
         # stateless draw: reloading the network must not shift later uploads
         draw = derive_rng("upload-entry", self.config.seed, manifest.root)
@@ -294,7 +300,7 @@ class Network:
                     self.stores[pid][addr] = payload
         if self.sync_mode == SYNC_FULL:
             self._pull_round(chunks)
-        return result
+        return manifest
 
     def _pull_round(self, chunks: dict[Address, bytes]) -> None:
         ns = self.config.ns
@@ -321,7 +327,7 @@ class Network:
 
     def retrieve(
         self,
-        manifest: FileManifest | EncodedManifest,
+        manifest: FileManifest,
         from_peer: PeerId,
     ) -> tuple[bytes | None, RetrievalStats]:
         """Fetch and rebuild a file from the network, repairing coded groups
@@ -348,9 +354,11 @@ class Network:
             stats.repaired_groups += 1
 
         try:
-            if isinstance(manifest, EncodedManifest):
+            # repair_retrieve memoises fetches, which would change the hops
+            # of a plain file that repeats a chunk
+            if manifest.coding is not None:
                 data = repair_retrieve(
-                    manifest.base.root, fetch, manifest, on_group_repaired=repaired
+                    manifest.root, fetch, manifest, on_group_repaired=repaired
                 )
             else:
                 data = reassemble(
@@ -457,8 +465,6 @@ def _stores_digest(
 # <dir>/manifest.txt            one key=value line per SimConfig field, in
 #                               field order, then census_digest
 # <dir>/backend-<i>/<peer-hex>/<chunk-hex>   raw chunk payloads
-
-_CHUNK_NAME = re.compile("[0-9a-f]{64}")
 
 
 def save_snapshot(snap: Snapshot, directory: str | Path) -> Path:
@@ -573,9 +579,12 @@ def load_snapshot(directory: str | Path) -> Snapshot:
                 raise SwarmSimError(f"corrupt snapshot: {peer_dir} does not belong in it")
             store = stores[pid]
             for entry in sorted(os.scandir(peer_dir), key=lambda e: e.name):
-                if not (_CHUNK_NAME.fullmatch(entry.name) and entry.is_file()):
+                try:
+                    addr = parse_address(entry.name)
+                except ValueError:
+                    addr = None
+                if addr is None or not entry.is_file():
                     raise SwarmSimError(f"corrupt snapshot: {entry.path} is not a chunk file")
-                addr = bytes.fromhex(entry.name)
                 with open(entry, "rb") as chunk:
                     payload = chunk.read()
                 if payload != verified.get(addr):

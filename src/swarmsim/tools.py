@@ -22,16 +22,10 @@ import itertools
 from collections import defaultdict
 from dataclasses import dataclass, field
 from math import prod
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .chunker import Address, FileManifest, parse_address
-from .codec import EncodedManifest, base_manifest
-from .errors import (
-    InfeasiblePlanError,
-    MissingChunkError,
-    SyncModeError,
-    UnderReplicatedError,
-)
+from .errors import InfeasiblePlanError, SyncModeError, UnderReplicatedError
 from .netsim import SYNC_NONE, holders
 from .overlay import PeerId
 
@@ -42,10 +36,19 @@ _EXHAUSTIVE_LIMIT = 250_000
 
 @dataclass
 class PlacementMap:
-    """Who holds which chunk, plus per-file chunk lists."""
+    """Who holds which chunk, plus per-file chunk lists. A file naming a
+    chunk without a chunk_to_peers entry is rejected."""
 
     chunk_to_peers: dict[Address, set[PeerId]]
     files: dict[str, tuple[Address, ...]]
+
+    def __post_init__(self) -> None:
+        for fid, addrs in self.files.items():
+            for addr in addrs:
+                if addr not in self.chunk_to_peers:
+                    raise ValueError(
+                        f"file {fid} names chunk {addr.hex()}, which has no holder line"
+                    )
 
     def restrict(self, file_id: str) -> "PlacementMap":
         """The placement as seen by a single file."""
@@ -77,59 +80,20 @@ class RulesReport:
         return self.a_ok and self.b_ok and self.c_ok and self.d_ok
 
 
-def listchunks(
-    manifest: FileManifest | EncodedManifest, fetch=None
-) -> list[Address]:
+def listchunks(manifest: FileManifest) -> list[Address]:
     """Every chunk address of a file, depth-first from the root, each
-    address once; parity addresses follow in group order.
+    address once, derived from the manifest levels; parity addresses
+    follow in group order."""
+    levels, b = manifest.levels, manifest.params.branching
 
-    With fetch given, internal chunks are actually read and walked (an
-    unreachable chunk raises); without it the walk is derived from the
-    manifest levels.
-    """
-    base = base_manifest(manifest)
-    groups = manifest.groups if isinstance(manifest, EncodedManifest) else ()
+    def walk(level: int, index: int) -> Iterator[Address]:
+        yield levels[level][index]
+        if level:
+            for child in range(index * b, min(index * b + b, len(levels[level - 1]))):
+                yield from walk(level - 1, child)
 
-    order: list[Address] = []
-    seen: set[Address] = set()
-
-    def visit(addr: Address) -> None:
-        if addr not in seen:
-            seen.add(addr)
-            order.append(addr)
-
-    if fetch is None:
-        levels, b = base.levels, base.params.branching
-
-        def walk(level: int, index: int) -> None:
-            visit(levels[level][index])
-            if level == 0:
-                return
-            lo = index * b
-            hi = min(lo + b, len(levels[level - 1]))
-            for child in range(lo, hi):
-                walk(level - 1, child)
-
-        walk(len(levels) - 1, 0)
-    else:
-        depth = len(base.levels)
-
-        def walk_fetch(addr: Address, level: int) -> None:
-            payload = fetch(addr)
-            if payload is None:
-                raise MissingChunkError(addr)
-            visit(addr)
-            if level == 0:
-                return
-            for i in range(0, len(payload), 32):
-                walk_fetch(payload[i : i + 32], level - 1)
-
-        walk_fetch(base.root, depth - 1)
-
-    for group in groups:
-        for addr in group.parity_addresses:
-            visit(addr)
-    return order
+    parity = (a for group in manifest.groups for a in group.parity_addresses)
+    return list(dict.fromkeys(itertools.chain(walk(len(levels) - 1, 0), parity)))
 
 
 def placement_from_network(network, files: dict[str, Sequence[Address]]) -> PlacementMap:
@@ -553,10 +517,4 @@ def placement_from_text(text: str) -> PlacementMap:
                 raise ValueError(f"duplicate placement line for chunk {addr.hex()}")
             holders = _distinct(parts[1:], f"placement line {number} names holder")
             chunk_to_peers[addr] = set(holders)
-    for fid, addrs in files.items():
-        for addr in addrs:
-            if addr not in chunk_to_peers:
-                raise ValueError(
-                    f"file {fid} names chunk {addr.hex()}, which has no holder line"
-                )
     return PlacementMap(chunk_to_peers=chunk_to_peers, files=files)

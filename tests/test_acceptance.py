@@ -6,14 +6,13 @@ pins a wall-clock budget where the behavior is scale-sensitive.
 
 import itertools
 import time
+from dataclasses import replace
 
 from swarmsim.chunker import ChunkParams, build_tree, split_file, tree_shape
 from swarmsim.codec import (
     CodingParams,
-    EncodedManifest,
     encode_tree,
     group_data_lengths,
-    manifest_root,
     repair_retrieve,
     rs_decode,
     rs_encode,
@@ -195,11 +194,7 @@ def test_criterion_6_double_erasures_and_internal_loss():
     store.update(parity)
     del store[manifest.levels[1][0]]
 
-    leaf_only = EncodedManifest(
-        base=manifest,
-        params=encoded.params,
-        groups=[g for g in encoded.groups if g.level == 0],
-    )
+    leaf_only = replace(encoded, groups=[g for g in encoded.groups if g.level == 0])
     leaf_only_fails = False
     try:
         repair_retrieve(manifest.root, store.get, leaf_only)
@@ -222,8 +217,8 @@ def _survives(snapshot, manifest, failed):
     def live_holds(addr):
         return any(addr in snapshot.stores[pid] for pid in live)
 
-    if isinstance(manifest, EncodedManifest):
-        if not live_holds(manifest.base.root):
+    if manifest.coding is not None:
+        if not live_holds(manifest.root):
             return False
         for group, lengths in zip(manifest.groups, group_data_lengths(manifest)):
             members = group.data_addresses + group.parity_addresses

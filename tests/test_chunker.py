@@ -3,6 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from swarmsim.chunker import (
     ChunkParams,
+    FileManifest,
     build_tree,
     content_address,
     level_payload_lengths,
@@ -11,7 +12,7 @@ from swarmsim.chunker import (
     split_file,
     tree_shape,
 )
-from swarmsim.codec import manifest_text, parse_manifest_text
+from swarmsim.codec import CodingGroup, manifest_text, parse_manifest_text
 from swarmsim.errors import MalformedChunkError, MissingChunkError
 from swarmsim.seeds import seeded_bytes
 
@@ -238,3 +239,29 @@ class TestManifestText:
         with pytest.raises(ValueError, match="64 hex"):
             parse_address("abcd")
         assert parse_address("00" * 32) == bytes(32)
+
+    @pytest.mark.parametrize(
+        "token",
+        ["AA" * 32, "aA" * 32, "aa" * 31 + "  ", "  " + "aa" * 31, "aa" * 15 + "  " + "aa" * 16,
+         "aa" * 31 + "\t\n", "gg" * 32],
+        ids=["upper", "mixed", "trailing", "leading", "inner", "tab-newline", "non-hex"],
+    )
+    def test_parse_address_takes_only_64_lowercase_hex_digits(self, token):
+        assert len(token) == 64
+        with pytest.raises(ValueError, match="64 hex"):
+            parse_address(token)
+
+    def test_rejects_an_uppercase_address(self):
+        data = seeded_bytes(5000, "upper")
+        manifest, _ = build_tree(split_file(data, ChunkParams()), ChunkParams())
+        leaf = manifest.levels[0][0].hex()
+        assert leaf != leaf.upper()
+        text = manifest_text(manifest).replace(leaf, leaf.upper())
+        with pytest.raises(ValueError, match="64 hex"):
+            parse_manifest_text(text)
+
+    def test_groups_need_coding(self):
+        manifest, _ = build_tree(split_file(seeded_bytes(9000, "nocoding"), B3), B3)
+        group = CodingGroup(0, manifest.levels[0], [])
+        with pytest.raises(ValueError, match="coding groups need coding parameters"):
+            FileManifest(manifest.root, manifest.levels, manifest.file_size, B3, groups=[group])

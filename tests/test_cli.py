@@ -8,7 +8,7 @@ import pytest
 
 from swarmsim.chunker import ChunkParams, build_tree, split_file
 from swarmsim.cli import EX_INFEASIBLE, EX_IO, EX_OK, EX_UNAVAILABLE, EX_USAGE, run
-from swarmsim.codec import CodingParams, manifest_root, manifest_text, parse_manifest_text
+from swarmsim.codec import CodingParams, manifest_text, parse_manifest_text
 from swarmsim.harness import ExperimentConfig, emit_reports, file_bytes, prepare
 from swarmsim.netsim import SimConfig, load_snapshot, spawn_network
 from swarmsim.seeds import seeded_bytes
@@ -274,7 +274,7 @@ class TestUploadRetrieve:
         assert saved.digest == net.census_digest()
         assert saved.stores == net.stores
         assert manifest.read_text() == manifest_text(expected)
-        assert out.strip() == manifest_root(expected).hex()
+        assert out.strip() == expected.root.hex()
         for entry in ([], ["--entry", 29]):
             back = tmp_path / "back.bin"
             code, out, err = cli(
@@ -284,9 +284,9 @@ class TestUploadRetrieve:
             assert code == EX_OK, err
             assert back.read_bytes() == data
 
-    def test_upload_prints_manifest_root(self, state):
+    def test_upload_prints_the_root(self, state):
         manifest = parse_manifest_text(state["manifest"].read_text())
-        assert state["root"] == manifest_root(manifest).hex()
+        assert state["root"] == manifest.root.hex()
 
     def test_module_entrypoint(self, tmp_path):
         source = tmp_path / "input.bin"

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from swarmsim.chunker import ChunkParams, build_tree, content_address, split_file
 from swarmsim.codec import (
     CodingParams,
-    EncodedManifest,
     encode_tree,
     gf_inv,
     gf_mul,
@@ -197,19 +197,19 @@ class TestRepairRetrieve:
         data, encoded, store = self.build()
         repaired = []
         out = repair_retrieve(
-            encoded.base.root, store.get, encoded, on_group_repaired=repaired.append
+            encoded.root, store.get, encoded, on_group_repaired=repaired.append
         )
         assert out == data
         assert repaired == []
 
     def test_any_single_loss_is_repaired(self):
         data, encoded, store = self.build()
-        for victim in [a for a in store if a != encoded.base.root]:
+        for victim in [a for a in store if a != encoded.root]:
             depleted = dict(store)
             del depleted[victim]
             repaired = []
             out = repair_retrieve(
-                encoded.base.root,
+                encoded.root,
                 depleted.get,
                 encoded,
                 on_group_repaired=repaired.append,
@@ -219,11 +219,11 @@ class TestRepairRetrieve:
 
     def test_internal_chunk_loss_is_repaired(self):
         data, encoded, store = self.build()
-        internal = encoded.base.levels[1][1]
+        internal = encoded.levels[1][1]
         del store[internal]
         repaired = []
         out = repair_retrieve(
-            encoded.base.root, store.get, encoded, on_group_repaired=repaired.append
+            encoded.root, store.get, encoded, on_group_repaired=repaired.append
         )
         assert out == data
         assert [g.level for g in repaired] == [1]
@@ -234,16 +234,16 @@ class TestRepairRetrieve:
         for addr in (group.data_addresses + group.parity_addresses)[:2]:
             del store[addr]
         with pytest.raises(UnrecoverableGroupError) as exc:
-            repair_retrieve(encoded.base.root, store.get, encoded)
+            repair_retrieve(encoded.root, store.get, encoded)
         assert exc.value.level == 0
         assert exc.value.need == 3
         assert exc.value.have == 2
 
     def test_missing_root_is_not_repairable(self):
         _, encoded, store = self.build()
-        del store[encoded.base.root]
+        del store[encoded.root]
         with pytest.raises(MissingChunkError):
-            repair_retrieve(encoded.base.root, store.get, encoded)
+            repair_retrieve(encoded.root, store.get, encoded)
 
     def test_corrupt_survivor_is_detected(self):
         _, encoded, store = self.build()
@@ -251,46 +251,42 @@ class TestRepairRetrieve:
         del store[group.data_addresses[0]]
         store[group.parity_addresses[0]] = b"\xff" * 4096
         with pytest.raises(DecodingError, match="does not hash"):
-            repair_retrieve(encoded.base.root, store.get, encoded)
+            repair_retrieve(encoded.root, store.get, encoded)
 
     def test_leaf_only_coding_dies_with_an_internal_chunk(self):
         # coding only the leaf level leaves internal chunks unprotected:
         # one lost internal chunk makes the file unrecoverable, while the
         # per-level encoding repairs the same loss
         data, full, store = self.build("leaf-only")
-        leaf_only = EncodedManifest(
-            base=full.base,
-            params=full.params,
-            groups=[g for g in full.groups if g.level == 0],
-        )
-        internal = full.base.levels[1][1]
+        leaf_only = replace(full, groups=[g for g in full.groups if g.level == 0])
+        internal = full.levels[1][1]
         depleted = dict(store)
         del depleted[internal]
         with pytest.raises(MissingChunkError):
-            repair_retrieve(leaf_only.base.root, depleted.get, leaf_only)
-        assert repair_retrieve(full.base.root, depleted.get, full) == data
+            repair_retrieve(leaf_only.root, depleted.get, leaf_only)
+        assert repair_retrieve(full.root, depleted.get, full) == data
 
     def test_multiple_groups_repaired_in_one_retrieval(self):
         data, encoded, store = self.build()
-        del store[encoded.base.levels[0][0]]
-        del store[encoded.base.levels[0][5]]
-        del store[encoded.base.levels[1][2]]
+        del store[encoded.levels[0][0]]
+        del store[encoded.levels[0][5]]
+        del store[encoded.levels[1][2]]
         repaired = []
         out = repair_retrieve(
-            encoded.base.root, store.get, encoded, on_group_repaired=repaired.append
+            encoded.root, store.get, encoded, on_group_repaired=repaired.append
         )
         assert out == data
         assert len(repaired) == 3
 
 
-class TestEncodedManifestText:
+class TestCodedManifestText:
     def test_roundtrip(self):
         _, manifest, chunks = fig_tree("text")
         encoded, _ = encode_tree(manifest, chunks, CodingParams(k=3, n=4))
         parsed = parse_manifest_text(manifest_text(encoded))
-        assert parsed.base.root == encoded.base.root
-        assert parsed.base.levels == encoded.base.levels
-        assert parsed.params == encoded.params
+        assert parsed.root == encoded.root
+        assert parsed.levels == encoded.levels
+        assert parsed.coding == encoded.coding
         assert [(g.level, g.data_addresses, g.parity_addresses) for g in parsed.groups] == [
             (g.level, g.data_addresses, g.parity_addresses) for g in encoded.groups
         ]
@@ -324,9 +320,7 @@ class TestEncodedManifestText:
         _, manifest, chunks = fig_tree("dispatch")
         encoded, _ = encode_tree(manifest, chunks, CodingParams(k=3, n=4))
         assert isinstance(parse_manifest_text(manifest_text(manifest)), FileManifest)
-        assert isinstance(
-            parse_manifest_text(manifest_text(encoded)), EncodedManifest
-        )
+        assert parse_manifest_text(manifest_text(encoded)).coding is not None
 
     def test_rejects_groups_that_do_not_partition(self):
         _, manifest, chunks = fig_tree("badgroups")
@@ -378,6 +372,25 @@ class TestEncodedManifestText:
         text = manifest_text(encoded)
         assert text.splitlines()[-1].endswith(" parity=")
         assert parse_manifest_text(text) == encoded
+
+    def test_single_chunk_file_keeps_its_coding_without_groups(self):
+        manifest, chunks = build_tree([b"tiny"], ChunkParams())
+        encoded, parity = encode_tree(manifest, chunks, CodingParams(k=3, n=4))
+        assert encoded.coding == CodingParams(k=3, n=4)
+        assert encoded.groups == [] and parity == {}
+        text = manifest_text(encoded)
+        assert text.splitlines()[1:4] == ["branching=128", "k=3", "n=4"]
+        assert parse_manifest_text(text) == encoded
+        assert manifest_text(manifest) != text
+
+    def test_rejects_an_uppercase_group_address(self):
+        _, manifest, chunks = fig_tree("upper-group")
+        encoded, _ = encode_tree(manifest, chunks, CodingParams(k=3, n=4))
+        parity = encoded.groups[0].parity_addresses[0].hex()
+        assert parity != parity.upper()
+        text = manifest_text(encoded).replace(parity, parity.upper())
+        with pytest.raises(ValueError, match="64 hex"):
+            parse_manifest_text(text)
 
     def test_rejects_malformed_group_line(self):
         _, manifest, chunks = fig_tree("badline")

@@ -3,8 +3,8 @@ import dataclasses
 import pytest
 
 from swarmsim.chunker import ChunkParams
-from swarmsim.codec import CodingParams, EncodedManifest, group_data_lengths, manifest_root
-from swarmsim.errors import InfeasiblePlanError
+from swarmsim.codec import CodingParams, group_data_lengths
+from swarmsim.errors import InfeasiblePlanError, SnapshotMismatchError
 from swarmsim.harness import (
     ExperimentConfig,
     census,
@@ -17,7 +17,7 @@ from swarmsim.harness import (
     run_experiment,
     run_iterations,
 )
-from swarmsim.netsim import SYNC_NONE, SimConfig, spawn_network
+from swarmsim.netsim import SYNC_FULL, SYNC_NONE, SimConfig, spawn_network
 from swarmsim.overlay import make_peer_ids
 from swarmsim.seeds import derive_rng
 from swarmsim.tools import listchunks
@@ -63,8 +63,8 @@ def survives(snapshot, manifest, failed):
     def live_holds(addr):
         return any(addr in snapshot.stores[pid] for pid in live)
 
-    if isinstance(manifest, EncodedManifest):
-        if not live_holds(manifest.base.root):
+    if manifest.coding is not None:
+        if not live_holds(manifest.root):
             return False
         for group, lengths in zip(manifest.groups, group_data_lengths(manifest)):
             members = group.data_addresses + group.parity_addresses
@@ -96,12 +96,12 @@ class TestPrepare:
 
     def test_manifests_match_offline_derivation(self, prepared):
         offline = derive_manifests(CONFIG)
-        assert [manifest_root(m) for m in offline] == [
-            manifest_root(m) for m in prepared.manifests
+        assert [m.root for m in offline] == [
+            m.root for m in prepared.manifests
         ]
 
     def test_file_ids_are_root_hexes(self, prepared):
-        assert prepared.file_ids == [manifest_root(m).hex() for m in prepared.manifests]
+        assert prepared.file_ids == [m.root.hex() for m in prepared.manifests]
         assert set(prepared.files) == set(prepared.file_ids)
 
     def test_infeasible_target_reports_the_file(self):
@@ -143,7 +143,7 @@ class TestRunIterations:
         assert all(r.success for r in results if r.fraction == 0.0)
 
     def test_success_matches_group_survival_oracle(self, prepared, results):
-        manifests = {manifest_root(m).hex(): m for m in prepared.manifests}
+        manifests = {m.root.hex(): m for m in prepared.manifests}
         for row in results:
             fi = CONFIG.fractions.index(row.fraction)
             failed = failure_set(CONFIG, fi, row.iteration)
@@ -179,6 +179,29 @@ class TestRunIterations:
             full_row = by_cell[(row.file, row.fraction, row.iteration)]
             assert row == full_row
 
+    @pytest.mark.parametrize(
+        "changes, named",
+        [
+            ({"seed": 10}, "seed=9, config has 10"),
+            ({"num_peers": 41}, "num_peers=40, config has 41"),
+            ({"view_size": 8}, "view_size=12, config has 8"),
+            ({"ns": 3}, "ns=4, config has 3"),
+            ({"num_backends": 7}, "num_backends=29, config has 7"),
+            ({"seed": 10, "num_peers": 41}, "num_peers=40, config has 41"),
+        ],
+        ids=["seed", "num_peers", "view_size", "ns", "num_backends", "first-named"],
+    )
+    def test_refuses_a_snapshot_of_another_network(self, prepared, changes, named):
+        config = dataclasses.replace(CONFIG, sim=dataclasses.replace(CONFIG.sim, **changes))
+        with pytest.raises(SnapshotMismatchError, match=f"^snapshot has {named}$"):
+            run_iterations(prepared.snapshot, config)
+
+    def test_the_sync_mode_may_differ(self, prepared, results):
+        assert prepared.snapshot.config.sync_mode == SYNC_NONE
+        assert CONFIG.sim.sync_mode == SYNC_FULL
+        no_sync = dataclasses.replace(CONFIG, sim=dataclasses.replace(CONFIG.sim, sync_mode=SYNC_NONE))
+        assert run_iterations(prepared.snapshot, no_sync) == results
+
     def test_availability_is_monotone_in_the_failure_set(self, prepared):
         config = CONFIG
         network = spawn_network(prepared.snapshot.config)
@@ -205,7 +228,7 @@ class TestRunIterations:
                 for addr in listchunks(manifest):
                     if addr in store:
                         total += len(store[addr])
-            stored[manifest_root(manifest).hex()] = total
+            stored[manifest.root.hex()] = total
         for row in results:
             data_size = CONFIG.file_sizes[prepared.file_ids.index(row.file)]
             assert row.overhead == pytest.approx(stored[row.file] / data_size)

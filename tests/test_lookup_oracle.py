@@ -211,11 +211,9 @@ class TestCountedLookup:
         last phase."""
         net, result = normalised(6, coding)
         manifest = result.manifests[0]
-        base = manifest.base if coding else manifest
-        leaves = list(base.levels[0])
+        leaves = list(manifest.levels[0])
         leaves[0] = derive_bytes("not-a-leaf")
-        base = replace(base, levels=[leaves] + base.levels[1:])
-        edited = replace(manifest, base=base) if coding else base
+        edited = replace(manifest, levels=[leaves] + manifest.levels[1:])
         net.fail_peers(fraction=fraction, seed=2)
         entries = net.live_peers()[::17]
         got = [net.retrieve(edited, entry) for entry in entries]

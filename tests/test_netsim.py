@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swarmsim.chunker import ChunkParams, content_address
-from swarmsim.codec import CodingParams, manifest_root
+from swarmsim.codec import CodingParams
 from swarmsim.errors import (
     ConnectivityError,
     SnapshotMismatchError,
@@ -188,7 +188,7 @@ class TestRetrieve:
         net = small_net()
         data = seeded_bytes(36_864, "lost")
         manifest = net.upload(data, B3, CodingParams(k=3, n=4))
-        victim = manifest.base.levels[0][2]
+        victim = manifest.levels[0][2]
         for store in net.stores.values():
             store.pop(victim, None)
         out, stats = net.retrieve(manifest, net.peer_ids[1])
@@ -202,7 +202,7 @@ class TestRetrieve:
         manifest = net.upload(data, B3, CodingParams(k=3, n=4))
         group = manifest.groups[0]
         for addr in group.data_addresses + group.parity_addresses:
-            if addr != manifest.base.root:
+            if addr != manifest.root:
                 for store in net.stores.values():
                     store.pop(addr, None)
         out, stats = net.retrieve(manifest, net.peer_ids[1])
@@ -681,7 +681,7 @@ class TestManifestKinds:
         coded = net.upload(
             seeded_bytes(10_000, "kind2"), ChunkParams(), CodingParams(k=2, n=3)
         )
-        assert not hasattr(plain, "groups")
-        assert hasattr(coded, "groups")
-        assert len(manifest_root(plain)) == 32
-        assert len(manifest_root(coded)) == 32
+        assert plain.coding is None
+        assert coded.coding is not None
+        assert len(plain.root) == 32
+        assert len(coded.root) == 32

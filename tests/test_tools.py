@@ -7,7 +7,6 @@ from swarmsim.chunker import ChunkParams, build_tree, split_file
 from swarmsim.codec import CodingParams, encode_tree
 from swarmsim.errors import (
     InfeasiblePlanError,
-    MissingChunkError,
     SyncModeError,
     UnderReplicatedError,
 )
@@ -150,15 +149,11 @@ class TestListChunks:
         manifest, _ = build_tree(split_file(bytes(range(256)) * 144, B3), B3)
         assert len(listchunks(manifest)) == 3
 
-    def test_fetch_walk_matches_offline_walk(self):
-        manifest, chunks = build_tree(split_file(seeded_bytes(36_864, "lcw"), B3), B3)
-        assert listchunks(manifest, chunks.get) == listchunks(manifest)
 
-    def test_fetch_walk_requires_reachability(self):
-        manifest, chunks = build_tree(split_file(seeded_bytes(36_864, "lcm"), B3), B3)
-        del chunks[manifest.levels[1][0]]
-        with pytest.raises(MissingChunkError):
-            listchunks(manifest, chunks.get)
+class TestPlacementMap:
+    def test_rejects_a_file_chunk_without_holders(self):
+        with pytest.raises(ValueError, match=f"file f names chunk {C2.hex()}, which has no holder line"):
+            PlacementMap({C1: {P1}}, {"f": (C1, C2)})
 
 
 class TestBakedeletion:
@@ -405,6 +400,22 @@ class TestTextFormats:
         with pytest.raises(ValueError, match="64 hex"):
             deletion_list_from_text("abcd abcd\n")
 
+    def test_deletion_list_rejects_uppercase_addresses(self):
+        with pytest.raises(ValueError, match="64 hex"):
+            deletion_list_from_text(f"{P1.hex()} {C1.hex().upper()}\n")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            f"{C1.hex().upper()} {P1.hex()}\nfile fx {C1.hex()}\n",
+            f"{C1.hex()} {P1.hex()}\nfile fx {C1.hex().upper()}\n",
+        ],
+        ids=["chunk-line", "file-line"],
+    )
+    def test_placement_rejects_uppercase_addresses(self, text):
+        with pytest.raises(ValueError, match="64 hex"):
+            placement_from_text(text)
+
     def test_placement_roundtrip(self):
         placement, _ = feasible_instance(12)
         parsed = placement_from_text(placement_to_text(placement))
@@ -443,7 +454,7 @@ class TestTextFormats:
             placement_from_text(text)
 
     def test_placement_rejects_a_holder_repeated_on_one_line(self):
-        text = f"{C1.hex()} {P1.hex()} {P2.hex()} {P1.hex().upper()}\nfile fx {C1.hex()}\n"
+        text = f"{C1.hex()} {P1.hex()} {P2.hex()} {P1.hex()}\nfile fx {C1.hex()}\n"
         with pytest.raises(ValueError, match=f"placement line 1 names holder {P1.hex()} twice"):
             placement_from_text(text)
 
