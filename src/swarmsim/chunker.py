@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Container, Iterable, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Optional
 
 from .errors import MalformedChunkError, MissingChunkError
 
@@ -209,19 +209,30 @@ def parse_address(token: str) -> Address:
     return addr
 
 
-def parse_keys(lines: Iterable[str], allowed: Container[str], what: str) -> dict[str, str]:
-    """Read key=value lines, stripping keys and values. A line without '=',
-    a key outside allowed and a key given twice are each rejected, naming
-    the line or key, so no setting is silently dropped or overridden."""
-    keys: dict[str, str] = {}
+def parse_keys(
+    lines: Iterable[str], schema: Mapping[str, Callable[[str], object]], what: str,
+    required: Iterable[str] = (),
+) -> dict[str, object]:
+    """Read key=value lines, each stripped value typed by its key's converter
+    in schema. A line without '=', a key outside schema, a key given twice,
+    an empty value, a value its converter rejects and a required key left
+    out are each rejected, naming the format (what) and the line or key."""
+    keys: dict[str, object] = {}
     for line in lines:
         if "=" not in line:
             raise ValueError(f"malformed {what} line: {line!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if key not in allowed:
+        key, _, value = (part.strip() for part in line.partition("="))
+        if key not in schema:
             raise ValueError(f"unknown {what} key {key!r}")
         if key in keys:
             raise ValueError(f"duplicate {what} key {key!r}")
-        keys[key] = value.strip()
+        try:
+            if not value:
+                raise ValueError("empty value")
+            keys[key] = schema[key](value)
+        except ValueError as exc:
+            raise ValueError(f"{what} key {key!r}: {exc}") from None
+    for key in required:
+        if key not in keys:
+            raise ValueError(f"{what} missing {key!r}")
     return keys

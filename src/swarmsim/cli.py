@@ -17,7 +17,8 @@ from .errors import InfeasiblePlanError, SwarmSimError
 from .harness import (
     CONFIG_KEYS,
     census,
-    emit_reports,
+    emit_census,
+    emit_reports,  # not called here; perfbench's tracer patches cli.emit_reports
     parse_experiment_config,
     prepare,
     run_experiment,
@@ -297,10 +298,8 @@ def _cmd_stats(args, stdout) -> int:
     elif args.placement_out:
         raise UsageError("--placement-out needs at least one --manifest")
     if args.out:
-        emit_reports([], report, args.out)
-        (Path(args.out) / "availability.csv").unlink()
-        print(str(Path(args.out) / "replicas_per_chunk.csv"), file=stdout)
-        print(str(Path(args.out) / "chunks_per_peer.csv"), file=stdout)
+        for path in emit_census(report, args.out):
+            print(str(path), file=stdout)
     else:
         print(
             f"peers={len(network.peer_ids)} chunks={report.distinct_chunks} "

@@ -14,6 +14,7 @@ code, keeping the parity count uniform across groups.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Optional
 
@@ -283,16 +284,18 @@ def repair_retrieve(
     manifest: FileManifest,
     on_group_repaired: Callable[[CodingGroup], None] | None = None,
 ) -> bytes:
-    """Rebuild a file, decoding coding groups for any chunks fetch cannot
-    resolve.
+    """Rebuild a file, plain or coded, decoding coding groups for any chunks
+    fetch cannot resolve.
 
-    Reconstructed payloads are checked against their recorded addresses.
-    With nothing missing this behaves exactly like plain reassembly. Raises
-    UnrecoverableGroupError when a group has fewer than k' reachable
+    Each distinct address is fetched at most once, however often the tree
+    repeats it. Reconstructed payloads are checked against their recorded
+    addresses. Group lengths come from the geometry only once a group needs
+    repair, so with nothing missing this behaves like plain reassembly.
+    Raises UnrecoverableGroupError when a group has fewer than k' reachable
     symbols, MissingChunkError for an unresolvable ungrouped chunk (the
-    root).
+    root, or any chunk of a plain file).
     """
-    lengths = group_data_lengths(manifest)
+    lengths = functools.cache(lambda: group_data_lengths(manifest))
     member_of: dict[Address, int] = {}
     for gi, group in enumerate(manifest.groups):
         for addr in group.data_addresses + group.parity_addresses:
@@ -314,8 +317,8 @@ def repair_retrieve(
         return payload
 
     def repair(gi: int) -> None:
-        group = manifest.groups[gi]
-        kk = len(lengths[gi])
+        group, data_lengths = manifest.groups[gi], lengths()[gi]
+        kk = len(data_lengths)
         members = group.data_addresses + group.parity_addresses
         present: list[tuple[int, bytes]] = []
         for pos, addr in enumerate(members):
@@ -326,7 +329,7 @@ def repair_retrieve(
                     break
         if len(present) < kk:
             raise UnrecoverableGroupError(group.level, gi, kk, len(present))
-        repaired = rs_decode(present, manifest.coding, lengths[gi])
+        repaired = rs_decode(present, manifest.coding, data_lengths)
         for addr, payload in zip(group.data_addresses, repaired):
             if content_address(payload) != addr:
                 raise DecodingError(
@@ -369,14 +372,15 @@ def manifest_text(manifest: FileManifest) -> str:
     return "\n".join(lines) + "\n"
 
 
-_MANIFEST_KEYS = ("filesize", "branching", "chunksize", "k", "n")
+_MANIFEST_KEYS = dict.fromkeys(("filesize", "branching", "chunksize", "k", "n"), int)
 
 
 def parse_manifest_text(text: str) -> FileManifest:
     """Parse a plain or coded manifest; k=, n= or group lines mark a coded
-    one. Without a chunksize line the chunk size is 4096. A key the writer
-    never emits, or a key given twice, is rejected, so a misspelt or
-    repeated key cannot fall back to a default or override another."""
+    one. Without a chunksize line the chunk size is 4096. Every key is read
+    by parse_keys, so a key the writer never emits, a key given twice, a
+    value that is empty or not an integer and a missing filesize, branching or
+    (coded) k or n are rejected, naming the key."""
     key_lines: list[str] = []
     levels: list[list[Address]] = []
     group_lines: list[str] = []
@@ -392,22 +396,17 @@ def parse_manifest_text(text: str) -> FileManifest:
             key_lines.append(line)
         else:
             levels.append([parse_address(tok) for tok in line.split()])
-    keys = parse_keys(key_lines, _MANIFEST_KEYS, "manifest")
+    encoded = bool(group_lines) or any(line.partition("=")[0] in ("k", "n") for line in key_lines)
+    required = ("filesize", "branching") + (("k", "n") if encoded else ())
+    keys = parse_keys(key_lines, _MANIFEST_KEYS, "manifest", required)
     if not levels:
         raise ValueError("manifest has no address levels")
-    encoded = bool(group_lines) or "k" in keys or "n" in keys
-    for required in ("filesize", "branching") + (("k", "n") if encoded else ()):
-        if required not in keys:
-            raise ValueError(f"manifest must declare {required}")
-    params = ChunkParams(
-        chunk_size=int(keys.get("chunksize", ChunkParams.chunk_size)),
-        branching=int(keys["branching"]),
-    )
-    file_size = int(keys["filesize"])
+    params = ChunkParams(keys.get("chunksize", ChunkParams.chunk_size), keys["branching"])
+    file_size = keys["filesize"]
     got, expected = [len(level) for level in levels], tree_shape(file_size, params)
     if got != expected:
         raise ValueError(f"level sizes {got} do not match geometry {expected}")
-    coding = CodingParams(k=int(keys["k"]), n=int(keys["n"])) if encoded else None
+    coding = CodingParams(keys["k"], keys["n"]) if encoded else None
     groups = [_parse_group_line(line) for line in group_lines]
     manifest = FileManifest(levels[-1][0], levels, file_size, params, coding, groups)
     if coding is not None:

@@ -23,7 +23,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from types import MappingProxyType
-from typing import Callable, Container, Mapping
+from typing import Callable, Container, Mapping, get_type_hints
 
 from .chunker import (
     Address,
@@ -32,7 +32,7 @@ from .chunker import (
     build_tree,
     parse_address,
     parse_keys,
-    reassemble,
+    reassemble,  # not called here; perfbench's tracer patches netsim.reassemble
     split_file,
 )
 from .codec import CodingParams, encode_tree, repair_retrieve
@@ -330,9 +330,10 @@ class Network:
         manifest: FileManifest,
         from_peer: PeerId,
     ) -> tuple[bytes | None, RetrievalStats]:
-        """Fetch and rebuild a file from the network, repairing coded groups
-        when chunks are unreachable. Unrecoverable loss yields a failed
-        stats record, not an exception. Read-only: stores never change."""
+        """Fetch and rebuild a file from the network, locating each distinct
+        address once, plain or coded, and repairing coded groups when chunks
+        are unreachable. Unrecoverable loss yields a failed stats record,
+        not an exception. Read-only: stores never change."""
         stats = RetrievalStats()
         if from_peer not in self.peer_index:
             raise ValueError("unknown entry peer")
@@ -354,16 +355,7 @@ class Network:
             stats.repaired_groups += 1
 
         try:
-            # repair_retrieve memoises fetches, which would change the hops
-            # of a plain file that repeats a chunk
-            if manifest.coding is not None:
-                data = repair_retrieve(
-                    manifest.root, fetch, manifest, on_group_repaired=repaired
-                )
-            else:
-                data = reassemble(
-                    manifest.root, fetch, manifest.params, manifest.file_size
-                )
+            data = repair_retrieve(manifest.root, fetch, manifest, on_group_repaired=repaired)
         except (MissingChunkError, DecodingError, MalformedChunkError) as exc:
             stats.error = str(exc)
             return None, stats
@@ -548,17 +540,12 @@ def load_snapshot(directory: str | Path) -> Snapshot:
     manifest = root / "manifest.txt"
     if not manifest.is_file():
         raise FileNotFoundError(f"no snapshot manifest at {manifest}")
-    names = [f.name for f in fields(SimConfig)] + ["census_digest"]
+    # each SimConfig field's type (int or str) is its converter
+    schema = {**get_type_hints(SimConfig), "census_digest": str}
     lines = [line for line in manifest.read_text().splitlines() if line.strip()]
-    keys = parse_keys(lines, names, "snapshot manifest")
-    for name in names:
-        if name not in keys:
-            raise ValueError(f"snapshot manifest missing {name!r}")
-    config = SimConfig(**{
-        f.name: int(keys[f.name]) if f.type == "int" else keys[f.name]
-        for f in fields(SimConfig)
-    })
-    recorded_digest = keys["census_digest"]
+    keys = parse_keys(lines, schema, "snapshot manifest", schema)
+    recorded_digest = keys.pop("census_digest")
+    config = SimConfig(**keys)
 
     peer_ids = make_peer_ids(config.num_peers, config.seed)
     assignment = backend_assignment(config.num_peers, config.num_backends)

@@ -8,6 +8,7 @@ from swarmsim.chunker import (
     content_address,
     level_payload_lengths,
     parse_address,
+    parse_keys,
     reassemble,
     split_file,
     tree_shape,
@@ -235,6 +236,33 @@ class TestManifestText:
         with pytest.raises(ValueError, match=f"duplicate manifest key '{key}'"):
             parse_manifest_text(text)
 
+    @pytest.mark.parametrize(
+        "old, new, key, error",
+        [
+            ("filesize=5000", "filesize=abc", "filesize", "invalid literal"),
+            ("branching=128", "branching=128\nk=x\nn=6", "k", "invalid literal"),
+            ("filesize=5000", "filesize=", "filesize", "empty value"),
+            ("branching=128", "branching= ", "branching", "empty value"),
+        ],
+    )
+    def test_bad_or_empty_value_names_format_and_key(self, old, new, key, error):
+        data = seeded_bytes(5000, "values")
+        manifest, _ = build_tree(split_file(data, ChunkParams()), ChunkParams())
+        text = manifest_text(manifest).replace(old, new)
+        with pytest.raises(ValueError, match=f"^manifest key '{key}': {error}"):
+            parse_manifest_text(text)
+
+    @pytest.mark.parametrize("key", ["filesize", "branching"])
+    def test_missing_key_is_named(self, key):
+        data = seeded_bytes(5000, "missing")
+        manifest, _ = build_tree(split_file(data, ChunkParams()), ChunkParams())
+        text = "".join(
+            line + "\n" for line in manifest_text(manifest).splitlines()
+            if not line.startswith(f"{key}=")
+        )
+        with pytest.raises(ValueError, match=f"^manifest missing '{key}'$"):
+            parse_manifest_text(text)
+
     def test_parse_address_validates_length(self):
         with pytest.raises(ValueError, match="64 hex"):
             parse_address("abcd")
@@ -265,3 +293,27 @@ class TestManifestText:
         group = CodingGroup(0, manifest.levels[0], [])
         with pytest.raises(ValueError, match="coding groups need coding parameters"):
             FileManifest(manifest.root, manifest.levels, manifest.file_size, B3, groups=[group])
+
+
+class TestParseKeys:
+    SCHEMA = {"size": int, "name": str}
+
+    def test_values_come_back_typed_and_stripped(self):
+        keys = parse_keys([" size = 12 ", "name=x y"], self.SCHEMA, "demo", ["size"])
+        assert keys == {"size": 12, "name": "x y"}
+
+    @pytest.mark.parametrize(
+        "lines, error",
+        [
+            (["size=twelve"], "^demo key 'size': invalid literal"),
+            (["size=12", "name="], "^demo key 'name': empty value$"),
+            (["size=12", "name=  "], "^demo key 'name': empty value$"),
+            (["name=x"], "^demo missing 'size'$"),
+            (["size=1", "size=2"], "^duplicate demo key 'size'$"),
+            (["size=1", "colour=red"], "^unknown demo key 'colour'$"),
+            (["size"], "^malformed demo line: 'size'$"),
+        ],
+    )
+    def test_every_rejection_names_the_format_and_the_key_or_line(self, lines, error):
+        with pytest.raises(ValueError, match=error):
+            parse_keys(lines, self.SCHEMA, "demo", ["size"])

@@ -419,6 +419,23 @@ class TestStats:
         assert str(tmp_path / "replicas_per_chunk.csv") in out
 
 
+    def test_census_csvs_leave_an_experiments_availability_report(self, tmp_path, state):
+        config = tmp_path / "sweep.txt"
+        config.write_text(
+            "peers=20\nseed=5\nview_size=8\nfile_sizes=40000\nmin_degree=1\ntarget_r=2\n"
+        )
+        results = tmp_path / "results"
+        code, _, err = cli("experiment", "--config", config, "--out", results)
+        assert code == EX_OK, err
+        availability = (results / "availability.csv").read_bytes()
+        code, out, err = cli("stats", "--state", state["dir"], "--out", results)
+        assert code == EX_OK, err
+        assert out.splitlines() == [
+            str(results / "replicas_per_chunk.csv"), str(results / "chunks_per_peer.csv")
+        ]
+        assert (results / "availability.csv").read_bytes() == availability
+
+
 class TestExperiment:
     def test_config_file_to_reports(self, tmp_path):
         config = tmp_path / "sweep.txt"

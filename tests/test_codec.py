@@ -322,6 +322,14 @@ class TestCodedManifestText:
         assert isinstance(parse_manifest_text(manifest_text(manifest)), FileManifest)
         assert parse_manifest_text(manifest_text(encoded)).coding is not None
 
+    @pytest.mark.parametrize("key", ["k", "n"])
+    def test_missing_coding_key_is_named(self, key):
+        _, manifest, chunks = fig_tree("missing")
+        encoded, _ = encode_tree(manifest, chunks, CodingParams(k=3, n=4))
+        text = manifest_text(encoded).replace(f"\n{key}={getattr(encoded.coding, key)}\n", "\n")
+        with pytest.raises(ValueError, match=f"^manifest missing '{key}'$"):
+            parse_manifest_text(text)
+
     def test_rejects_groups_that_do_not_partition(self):
         _, manifest, chunks = fig_tree("badgroups")
         encoded, _ = encode_tree(manifest, chunks, CodingParams(k=3, n=4))

@@ -355,6 +355,20 @@ out=resdir
         with pytest.raises(ValueError, match="min_degree"):
             parse_experiment_config("peers=10\nfile_sizes=5000\n")
 
+    @pytest.mark.parametrize("key", ["peers", "file_sizes", "min_degree"])
+    def test_missing_required_key_is_named(self, key):
+        base = {"peers": "10", "file_sizes": "5000", "min_degree": "1"}
+        del base[key]
+        text = "".join(f"{k}={v}\n" for k, v in base.items())
+        with pytest.raises(ValueError, match=f"^experiment config missing '{key}'$"):
+            parse_experiment_config(text)
+
+    @pytest.mark.parametrize("line", ["out=", "out = ", "sync_mode=", "seed=", "k=\nn=6"])
+    def test_empty_value_names_its_key(self, line):
+        key = line.partition("=")[0].strip()
+        with pytest.raises(ValueError, match=f"^experiment config key '{key}': empty value$"):
+            parse_experiment_config(f"peers=10\nfile_sizes=5000\nmin_degree=1\n{line}\n")
+
     def test_k_and_n_must_pair(self):
         with pytest.raises(ValueError, match="together"):
             parse_experiment_config(

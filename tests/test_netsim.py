@@ -2,7 +2,7 @@ import errno
 import os
 import shutil
 from collections import Counter
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -210,6 +210,29 @@ class TestRetrieve:
         assert not stats.success
         assert "unrecoverable" in stats.error
 
+    def test_a_repeated_chunk_is_located_once_plain_or_coded(self):
+        # a zero-filled file repeats one leaf 73 times: plain and coded alike
+        # locate the root, that leaf and the short last leaf once each
+        for data, expected in (
+            (bytes(300_000), (2, 7_456)),
+            (seeded_bytes(300_000, "random"), (67, 302_368)),
+        ):
+            for coding in (None, CodingParams(k=4, n=6)):
+                net = small_net(60, 3)
+                manifest = net.upload(data, coding=coding)
+                net.fail_peers(fraction=0.2, seed=1)
+                out, stats = net.retrieve(manifest, net.live_peers()[0])
+                assert out == data
+                assert (stats.hops, stats.bytes_fetched) == expected
+
+    def test_file_size_disagreeing_with_the_leaves_is_a_failure_record(self):
+        net = small_net()
+        manifest = net.upload(seeded_bytes(50_000, "size"), ChunkParams())
+        out, stats = net.retrieve(replace(manifest, file_size=49_000), net.peer_ids[0])
+        assert out is None
+        assert not stats.success
+        assert stats.error == "reassembled 50000 bytes, expected 49000"
+
     def test_hops_count_only_other_peers(self):
         net = small_net()
         manifest = net.upload(seeded_bytes(5_000, "hops"), ChunkParams())
@@ -370,6 +393,26 @@ class TestDiskSnapshots:
         manifest = root / "manifest.txt"
         manifest.write_text(manifest.read_text().replace("ns=4\n", ""))
         with pytest.raises(ValueError, match="snapshot manifest missing 'ns'"):
+            load_snapshot(root)
+
+    @pytest.mark.parametrize(
+        "key, value, error",
+        [
+            ("num_peers", "four", "invalid literal"),
+            ("ns", "4.0", "invalid literal"),
+            ("num_peers", "", "empty value"),
+            ("sync_mode", "", "empty value"),
+            ("census_digest", " ", "empty value"),
+        ],
+    )
+    def test_manifest_bad_or_empty_value_is_named(self, tmp_path, key, value, error):
+        root = save_snapshot(small_net(10, 2, view_size=4).snapshot(), tmp_path / "snap")
+        manifest = root / "manifest.txt"
+        manifest.write_text("".join(
+            f"{key}={value}\n" if line.startswith(f"{key}=") else line + "\n"
+            for line in manifest.read_text().splitlines()
+        ))
+        with pytest.raises(ValueError, match=f"^snapshot manifest key '{key}': {error}"):
             load_snapshot(root)
 
     @pytest.mark.filterwarnings("ignore:view_size")
