@@ -177,6 +177,7 @@ def level_payload_lengths(manifest: FileManifest) -> list[list[int]]:
 
     Leaves are chunk_size long except the last one; an internal chunk is 32
     bytes per child. Needed to decode coding groups, which store no lengths.
+    A file size the leaves cannot hold raises MalformedChunkError.
     """
     cs = manifest.params.chunk_size
     b = manifest.params.branching
@@ -184,7 +185,8 @@ def level_payload_lengths(manifest: FileManifest) -> list[list[int]]:
     leaf_count = shape[0]
     last_leaf = manifest.file_size - (leaf_count - 1) * cs
     if not 0 < last_leaf <= cs:
-        raise ValueError("file size inconsistent with leaf count")
+        raise MalformedChunkError(
+            f"file size {manifest.file_size} inconsistent with leaf count {leaf_count}")
     lengths = [[cs] * (leaf_count - 1) + [last_leaf]]
     for li in range(1, len(shape)):
         below, count = shape[li - 1], shape[li]
@@ -207,6 +209,14 @@ def parse_address(token: str) -> Address:
     if len(addr) != ADDRESS_SIZE or addr.hex() != token:
         raise ValueError(f"bad address {token!r}: expected 64 hex characters, lowercase")
     return addr
+
+
+def parse_decimal(text: str) -> int:
+    """An integer spelled in ASCII digits alone; int() would also take a sign,
+    underscores and other scripts' digits."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"invalid literal for a decimal integer: {text!r}")
+    return int(text)
 
 
 def parse_keys(

@@ -25,6 +25,7 @@ from .chunker import (
     ChunkParams,
     FileManifest,
     content_address,
+    parse_decimal,
     level_payload_lengths,
     parse_address,
     parse_keys,
@@ -372,14 +373,14 @@ def manifest_text(manifest: FileManifest) -> str:
     return "\n".join(lines) + "\n"
 
 
-_MANIFEST_KEYS = dict.fromkeys(("filesize", "branching", "chunksize", "k", "n"), int)
+_MANIFEST_KEYS = dict.fromkeys(("filesize", "branching", "chunksize", "k", "n"), parse_decimal)
 
 
 def parse_manifest_text(text: str) -> FileManifest:
     """Parse a plain or coded manifest; k=, n= or group lines mark a coded
     one. Without a chunksize line the chunk size is 4096. Every key is read
     by parse_keys, so a key the writer never emits, a key given twice, a
-    value that is empty or not an integer and a missing filesize, branching or
+    value that is empty or not decimal digits and a missing filesize, branching or
     (coded) k or n are rejected, naming the key."""
     key_lines: list[str] = []
     levels: list[list[Address]] = []

@@ -19,24 +19,17 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterable
 
-from .chunker import Address, ChunkParams, FileManifest, build_tree, parse_keys, split_file
+from .chunker import (
+    Address, ChunkParams, FileManifest, build_tree, parse_decimal, parse_keys, split_file,
+)
 from .codec import CodingParams, address_lengths, encode_tree
 from .errors import InfeasiblePlanError, SnapshotMismatchError, SwarmSimError
 from .netsim import Network, RetrievalStats, SimConfig, Snapshot, SYNC_NONE, holders, spawn_network
 from .overlay import PeerId
 from .seeds import derive_int, derive_rng, seeded_bytes
-from .tools import (
-    DeletionEntry,
-    PlacementMap,
-    RulesReport,
-    bakedeletion,
-    check_rules,
-    combinestorage,
-    deletechunks,
-    holders_map,
-    listchunks,
-    placement_from_network,
-)
+from .tools import DeletionEntry, RulesReport, check_rules, check_union, deletechunks, dropped
+from .tools import holders_map, listchunks, placement_from_network, plan_keep
+from .tools import bakedeletion, combinestorage  # not called here; perfbench's tracer patches them
 
 logger = logging.getLogger(__name__)
 
@@ -154,10 +147,10 @@ def iteration_seed(seed: int, fraction_index: int, iteration: int) -> int:
 def prepare(network: Network, config: ExperimentConfig) -> PrepareResult:
     """Upload, normalize replication, verify the rules, snapshot.
 
-    Pipeline: upload every file, list its chunks, plan per-file deletions at
-    target_r, merge the plans with a joint rule-A check, switch syncing off,
-    apply the deletions, then verify rules A-D against an independently
-    recomputed census before snapshotting.
+    Pipeline: upload every file, list its chunks, plan per-file keep maps at
+    target_r, intersect them with a joint rule-A check, switch syncing off,
+    delete every replica outside the kept sets, then verify rules A-D
+    against an independently recomputed census before snapshotting.
     """
     manifests: list[FileManifest] = []
     for index in range(len(config.file_sizes)):
@@ -171,19 +164,23 @@ def prepare(network: Network, config: ExperimentConfig) -> PrepareResult:
     census_before = census(network)
     placement = placement_from_network(network, files)
 
-    plans = []
+    # a replica survives only if the plan of every file naming its chunk keeps it
+    kept: dict[Address, set[PeerId]] = {}
     for fid in file_ids:
         try:
-            plans.append(bakedeletion(placement.restrict(fid), config.target_r))
+            plan = plan_keep(placement.restrict(fid), config.target_r)
         except InfeasiblePlanError as exc:
             raise InfeasiblePlanError(f"bakedeletion[{fid}]: {exc}") from exc
+        for addr, keepers in plan.items():
+            kept[addr] = kept[addr] & keepers if addr in kept else keepers
     try:
-        combined = combinestorage(plans, placement)
+        check_union(placement, kept)
     except InfeasiblePlanError as exc:
         raise InfeasiblePlanError(f"combinestorage: {exc}") from exc
 
+    deletions = dropped(placement, kept)
     network.sync_mode = SYNC_NONE
-    report = deletechunks(network, combined)
+    report = deletechunks(network, deletions)
     logger.info("applied %d deletions (%d already absent)",
                 report.applied, report.missing)
 
@@ -201,7 +198,7 @@ def prepare(network: Network, config: ExperimentConfig) -> PrepareResult:
         files=files,
         census_before=census_before,
         census_after=census_after,
-        deletions=combined,
+        deletions=deletions,
         rules=rules,
     )
 
@@ -219,7 +216,7 @@ def _file_overheads(
 
 
 def run_iterations(
-    snapshot: Snapshot, config: ExperimentConfig
+    snapshot: Snapshot, config: ExperimentConfig, manifests: list[FileManifest] | None = None,
 ) -> list[AvailabilityResult]:
     """Replay the snapshot under every configured failure fraction.
 
@@ -228,12 +225,13 @@ def run_iterations(
     fails a seeded peer set, and retrieves every file through a seeded live
     entry peer. Those draws come from config, so a snapshot of another
     network raises SnapshotMismatchError; only the sync mode may differ.
+    manifests, if given, must be derive_manifests(config), as prepare returns.
     """
     for f in fields(SimConfig):
         held, wanted = getattr(snapshot.config, f.name), getattr(config.sim, f.name)
         if held != wanted and f.name != "sync_mode":
             raise SnapshotMismatchError(f"snapshot has {f.name}={held}, config has {wanted}")
-    manifests = derive_manifests(config)
+    manifests = manifests or derive_manifests(config)
     overheads = _file_overheads(snapshot, manifests)
     network = spawn_network(snapshot.config)
     network.wait_for_connectivity(config.min_degree)
@@ -315,7 +313,7 @@ def run_experiment(
     """spawn -> prepare -> iterate -> emit, returning everything produced."""
     network = spawn_network(config.sim)
     prepared = prepare(network, config)
-    results = run_iterations(prepared.snapshot, config)
+    results = run_iterations(prepared.snapshot, config, prepared.manifests)
     paths = emit_reports(results, prepared.census_after, outdir or config.outdir)
     return prepared, results, paths
 
@@ -325,28 +323,28 @@ def _numbers(parse):
         items = text.split(",")
         if any(not item.strip() for item in items):
             raise ValueError(f"empty item in list {text!r}")
-        return tuple(parse(item) for item in items)
+        return tuple(parse(item.strip()) for item in items)
     return numbers
 
 
 # experiment config key -> (the constructor it goes to, its field there,
 # value parser); a key left out takes that constructor's default
 CONFIG_KEYS = {
-    "peers": (SimConfig, "num_peers", int),
-    "seed": (SimConfig, "seed", int),
-    "view_size": (SimConfig, "view_size", int),
-    "ns": (SimConfig, "ns", int),
-    "backends": (SimConfig, "num_backends", int),
+    "peers": (SimConfig, "num_peers", parse_decimal),
+    "seed": (SimConfig, "seed", parse_decimal),
+    "view_size": (SimConfig, "view_size", parse_decimal),
+    "ns": (SimConfig, "ns", parse_decimal),
+    "backends": (SimConfig, "num_backends", parse_decimal),
     "sync_mode": (SimConfig, "sync_mode", str),
-    "chunk_size": (ChunkParams, "chunk_size", int),
-    "branching": (ChunkParams, "branching", int),
-    "k": (CodingParams, "k", int),
-    "n": (CodingParams, "n", int),
-    "file_sizes": (ExperimentConfig, "file_sizes", _numbers(int)),
-    "min_degree": (ExperimentConfig, "min_degree", int),
-    "target_r": (ExperimentConfig, "target_r", int),
+    "chunk_size": (ChunkParams, "chunk_size", parse_decimal),
+    "branching": (ChunkParams, "branching", parse_decimal),
+    "k": (CodingParams, "k", parse_decimal),
+    "n": (CodingParams, "n", parse_decimal),
+    "file_sizes": (ExperimentConfig, "file_sizes", _numbers(parse_decimal)),
+    "min_degree": (ExperimentConfig, "min_degree", parse_decimal),
+    "target_r": (ExperimentConfig, "target_r", parse_decimal),
     "fractions": (ExperimentConfig, "fractions", _numbers(float)),
-    "iterations": (ExperimentConfig, "iterations", int),
+    "iterations": (ExperimentConfig, "iterations", parse_decimal),
     "out": (ExperimentConfig, "outdir", str),
 }
 

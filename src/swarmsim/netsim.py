@@ -4,7 +4,10 @@ Peers hold per-peer chunk stores and partial routing views. Chunks are
 routed greedily by XOR distance; every peer on the forwarding path stores
 the chunk (delivery caching, active in both sync modes), the terminal peer's
 neighborhood replicates it, and in full sync mode an extra pull round lets
-every peer adopt the chunks it believes itself responsible for. Failures
+every peer adopt the chunks it believes itself responsible for: those fewer
+than ns of its view members are closer to. Chunk a is closer to member v
+than to owner o exactly when a agrees with v at the top bit where v and o
+differ, so the round tests every chunk against a view at once. Failures
 mark stores unreachable without deleting them. Retrieval never writes to
 any store, so with syncing off the global census only changes through
 explicit uploads or deletions.
@@ -25,16 +28,11 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Callable, Container, Mapping, get_type_hints
 
-from .chunker import (
-    Address,
-    ChunkParams,
-    FileManifest,
-    build_tree,
-    parse_address,
-    parse_keys,
-    reassemble,  # not called here; perfbench's tracer patches netsim.reassemble
-    split_file,
-)
+import numpy as np
+
+from .chunker import Address, ChunkParams, FileManifest, build_tree, parse_address
+from .chunker import parse_decimal, parse_keys, split_file
+from .chunker import reassemble  # not called here; perfbench's tracer patches netsim.reassemble
 from .codec import CodingParams, encode_tree, repair_retrieve
 from .errors import (
     ConnectivityError,
@@ -303,27 +301,24 @@ class Network:
         return manifest
 
     def _pull_round(self, chunks: dict[Address, bytes]) -> None:
-        ns = self.config.ns
-        items = [
-            (addr, payload, int.from_bytes(addr, "big"))
-            for addr, payload in chunks.items()
-        ]
+        """Every live peer, in peer order, adopts in chunks order each chunk
+        that fewer than ns of its view members are closer to. By the top-bit
+        rule each member is one (byte, bit mask, wanted bit) test on the
+        addresses, bytes least significant first; peers go one at a time, so
+        no array outgrows chunks x view."""
+        items = list(chunks.items())
+        addrs = np.frombuffer(b"".join(chunks), dtype=np.uint8).reshape(len(items), -1)[:, ::-1]
         for i, pid in enumerate(self.peer_ids):
             if pid in self.failed:
                 continue
-            own = self._ints[i]
-            vints = [self._ints[j] for j in self._rows[i]]
-            store = self.stores[pid]
-            for addr, payload, a in items:
-                mine = a ^ own
-                closer = 0
-                for v in vints:
-                    if a ^ v < mine:
-                        closer += 1
-                        if closer >= ns:
-                            break
-                if closer < ns:
-                    store[addr] = payload
+            tests = []
+            for j in self._rows[i]:
+                top = (self._ints[j] ^ self._ints[i]).bit_length() - 1
+                tests.append((top // 8, 1 << top % 8, (self._ints[j] >> top & 1) << top % 8))
+            byte, mask, want = np.array(tests, dtype=np.uint8).T
+            closer = ((addrs[:, byte] & mask) == want).sum(axis=1)
+            adopted = np.flatnonzero(closer < self.config.ns).tolist()
+            self.stores[pid].update([items[c] for c in adopted])
 
     def retrieve(
         self,
@@ -540,8 +535,9 @@ def load_snapshot(directory: str | Path) -> Snapshot:
     manifest = root / "manifest.txt"
     if not manifest.is_file():
         raise FileNotFoundError(f"no snapshot manifest at {manifest}")
-    # each SimConfig field's type (int or str) is its converter
-    schema = {**get_type_hints(SimConfig), "census_digest": str}
+    # each SimConfig field is an int, read as decimal digits, or a str
+    schema = {k: parse_decimal if t is int else t for k, t in get_type_hints(SimConfig).items()}
+    schema["census_digest"] = str
     lines = [line for line in manifest.read_text().splitlines() if line.strip()]
     keys = parse_keys(lines, schema, "snapshot manifest", schema)
     recorded_digest = keys.pop("census_digest")

@@ -18,6 +18,7 @@ exhaustive search before being declared infeasible.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -124,10 +125,26 @@ def holders_map(network, addresses: Iterable[Address]) -> dict[Address, set[Peer
 
 
 def bakedeletion(placement: PlacementMap, target_r: int) -> list[DeletionEntry]:
-    """Plan deletions bringing every chunk down to exactly target_r replicas.
+    """Plan deletions bringing every chunk down to exactly target_r replicas:
+    the replicas plan_keep does not keep. Raises as plan_keep does."""
+    return dropped(placement, plan_keep(placement, target_r))
 
-    Returns (peer, address) pairs sorted lexicographically by hex. Raises
-    UnderReplicatedError if some chunk starts below target_r and
+
+def dropped(placement: PlacementMap, kept: dict[Address, set[PeerId]]) -> list[DeletionEntry]:
+    """Every replica outside kept, as (peer, address) pairs sorted
+    lexicographically by hex: each peer's addresses come out ascending, so
+    only the peers need sorting, not the pairs."""
+    by_peer: dict[PeerId, list[Address]] = defaultdict(list)
+    for addr in sorted(placement.chunk_to_peers):
+        for pid in placement.chunk_to_peers[addr] - kept[addr]:
+            by_peer[pid].append(addr)
+    return [(pid, addr) for pid in sorted(by_peer) for addr in by_peer[pid]]
+
+
+def plan_keep(placement: PlacementMap, target_r: int) -> dict[Address, set[PeerId]]:
+    """The target_r holders each chunk keeps, satisfying rules A-D.
+
+    Raises UnderReplicatedError if some chunk starts below target_r and
     InfeasiblePlanError when no keep-assignment can satisfy rule A.
     """
     if target_r < 1:
@@ -169,14 +186,7 @@ def bakedeletion(placement: PlacementMap, target_r: int) -> list[DeletionEntry]:
     if starved:
         keep = _exhaustive_keep(placement, target_r, starved)
     _fill_keep(keep, chunk_to_peers, target_r)
-
-    deletions = [
-        (pid, addr)
-        for addr in chunk_to_peers
-        for pid in chunk_to_peers[addr] - keep[addr]
-    ]
-    deletions.sort()
-    return deletions
+    return keep
 
 
 def _cover_keep(
@@ -292,11 +302,8 @@ def _fill_keep(
         needed = target_r - len(keep[addr])
         if needed <= 0:
             continue
-        rest = sorted(
-            (pid for pid in chunk_to_peers[addr] if pid not in keep[addr]),
-            key=lambda pid: (kept_count[pid], pid),
-        )
-        for pid in rest[:needed]:
+        rest = (pid for pid in chunk_to_peers[addr] if pid not in keep[addr])
+        for pid in heapq.nsmallest(needed, rest, key=lambda pid: (kept_count[pid], pid)):
             keep[addr].add(pid)
             kept_count[pid] += 1
 
@@ -410,17 +417,22 @@ def combinestorage(
     merged = sorted({entry for lst in lists for entry in lst})
     if placement is not None:
         removed = set(merged)
-        kept = {
+        check_union(placement, {
             a: {p for p in holders if (p, a) not in removed}
             for a, holders in placement.chunk_to_peers.items()
-        }
-        starved = _starved_pairs(placement, kept)
-        if starved:
-            pid, fid = starved[0]
-            raise InfeasiblePlanError(
-                f"combined deletions starve peer {pid.hex()} of file {fid} (rule A)"
-            )
+        })
     return merged
+
+
+def check_union(placement: PlacementMap, kept: dict[Address, set[PeerId]]) -> None:
+    """Rule A across files: raise InfeasiblePlanError naming the first peer
+    that the kept replicas leave without a chunk of a file it held."""
+    starved = _starved_pairs(placement, kept)
+    if starved:
+        pid, fid = starved[0]
+        raise InfeasiblePlanError(
+            f"combined deletions starve peer {pid.hex()} of file {fid} (rule A)"
+        )
 
 
 def deletechunks(network, entries: Sequence[DeletionEntry]) -> DeleteReport:

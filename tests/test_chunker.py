@@ -241,6 +241,10 @@ class TestManifestText:
         [
             ("filesize=5000", "filesize=abc", "filesize", "invalid literal"),
             ("branching=128", "branching=128\nk=x\nn=6", "k", "invalid literal"),
+            # int() would read these three as 5000, 5000 and 128
+            ("filesize=5000", "filesize=5_000", "filesize", "invalid literal"),
+            ("filesize=5000", "filesize=+5000", "filesize", "invalid literal"),
+            ("branching=128", "branching=0_128", "branching", "invalid literal"),
             ("filesize=5000", "filesize=", "filesize", "empty value"),
             ("branching=128", "branching= ", "branching", "empty value"),
         ],

@@ -163,6 +163,9 @@ class TestRunIterations:
         rows = run_iterations(prepared.snapshot, config)
         assert rows and all(not r.success for r in rows)
 
+    def test_manifests_from_prepare_give_the_same_rows(self, prepared, results):
+        assert run_iterations(prepared.snapshot, CONFIG, prepared.manifests) == results
+
     def test_iterations_are_independent(self, prepared, results):
         shorter = ExperimentConfig(
             sim=CONFIG.sim,
@@ -448,3 +451,16 @@ out=resdir
     def test_unparsable_value_names_its_key(self):
         with pytest.raises(ValueError, match="experiment config key 'peers'"):
             parse_experiment_config("peers=ten\nfile_sizes=5000\nmin_degree=1\n")
+
+    @pytest.mark.parametrize("peers, file_sizes, key", [
+        # int() would read every one of these
+        ("1_0", "5000", "peers"),
+        ("+10", "5000", "peers"),
+        ("0_10", "5000", "peers"),
+        ("10", "5_000", "file_sizes"),
+        ("10", "5000, +6000", "file_sizes"),
+        ("10", "0_1,5000", "file_sizes"),
+    ])
+    def test_integers_are_decimal_digits_alone(self, peers, file_sizes, key):
+        with pytest.raises(ValueError, match=f"^experiment config key '{key}': invalid literal"):
+            parse_experiment_config(f"peers={peers}\nfile_sizes={file_sizes}\nmin_degree=1\n")

@@ -233,6 +233,17 @@ class TestRetrieve:
         assert not stats.success
         assert stats.error == "reassembled 50000 bytes, expected 49000"
 
+    def test_file_size_disagreeing_with_a_repaired_group_is_a_failure_record(self):
+        # repairing a group needs its data lengths, which come from file_size
+        net = small_net()
+        manifest = net.upload(seeded_bytes(50_000, "size"), ChunkParams(), CodingParams(k=3, n=4))
+        for store in net.stores.values():
+            store.pop(manifest.levels[0][0], None)
+        out, stats = net.retrieve(replace(manifest, file_size=49_000), net.peer_ids[0])
+        assert out is None
+        assert not stats.success
+        assert stats.error == "file size 49000 inconsistent with leaf count 13"
+
     def test_hops_count_only_other_peers(self):
         net = small_net()
         manifest = net.upload(seeded_bytes(5_000, "hops"), ChunkParams())
@@ -400,6 +411,10 @@ class TestDiskSnapshots:
         [
             ("num_peers", "four", "invalid literal"),
             ("ns", "4.0", "invalid literal"),
+            # int() would read these three as 10, 2 and 4
+            ("num_peers", "1_0", "invalid literal"),
+            ("seed", "+2", "invalid literal"),
+            ("ns", "0_4", "invalid literal"),
             ("num_peers", "", "empty value"),
             ("sync_mode", "", "empty value"),
             ("census_digest", " ", "empty value"),
