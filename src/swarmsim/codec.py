@@ -133,6 +133,15 @@ def _generator(k: int, n: int) -> list[list[int]]:
     return gen
 
 
+@functools.lru_cache(maxsize=256)
+def _decoder(k: int, n: int, chosen: tuple[int, ...]) -> list[list[int]]:
+    """Inverse of the generator rows of the chosen k symbols, mapping them
+    back to the k data symbols. Repaired groups repeat a few loss patterns,
+    so each is inverted once; callers must not modify the result."""
+    gen = _generator(k, n)
+    return _mat_inv([gen[i][:] for i in chosen])
+
+
 def _as_padded_array(payload: bytes, length: int) -> np.ndarray:
     if len(payload) > length:
         raise ValueError("payload longer than coding length")
@@ -203,10 +212,8 @@ def rs_decode(
     if all(i in symbols for i in range(kk)):
         return [symbols[i][: lengths[i]] for i in range(kk)]
 
-    gen = _generator(kk, nn)
-    chosen = sorted(symbols)[:kk]
-    inverse = _mat_inv([gen[i][:] for i in chosen])
-    decoded = _combine(inverse, [symbols[i] for i in chosen], max(lengths))
+    chosen = tuple(sorted(symbols)[:kk])
+    decoded = _combine(_decoder(kk, nn, chosen), [symbols[i] for i in chosen], max(lengths))
     return [payload[:n] for payload, n in zip(decoded, lengths)]
 
 

@@ -148,9 +148,10 @@ def prepare(network: Network, config: ExperimentConfig) -> PrepareResult:
     """Upload, normalize replication, verify the rules, snapshot.
 
     Pipeline: upload every file, list its chunks, plan per-file keep maps at
-    target_r, intersect them with a joint rule-A check, switch syncing off,
-    delete every replica outside the kept sets, then verify rules A-D
-    against an independently recomputed census before snapshotting.
+    target_r, intersect them with a joint rule-A check and a check that every
+    chunk keeps exactly target_r replicas, switch syncing off, delete every
+    replica outside the kept sets, then verify rules A-D against an
+    independently recomputed census before snapshotting.
     """
     manifests: list[FileManifest] = []
     for index in range(len(config.file_sizes)):
@@ -175,6 +176,12 @@ def prepare(network: Network, config: ExperimentConfig) -> PrepareResult:
             kept[addr] = kept[addr] & keepers if addr in kept else keepers
     try:
         check_union(placement, kept)
+        # plans of files sharing a chunk can keep it on disjoint peers
+        for addr in sorted(kept):
+            if len(kept[addr]) != config.target_r:
+                raise InfeasiblePlanError(
+                    f"chunk {addr.hex()} kept by {len(kept[addr])} of target_r {config.target_r}"
+                )
     except InfeasiblePlanError as exc:
         raise InfeasiblePlanError(f"combinestorage: {exc}") from exc
 

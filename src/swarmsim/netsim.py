@@ -49,8 +49,8 @@ from .overlay import (
     clamp_view_size,
     count_nearer,
     make_peer_ids,
-    responsible_peers,
 )
+from .overlay import responsible_peers  # not called here; perfbench's tracer patches it
 from .seeds import derive_rng
 
 SYNC_FULL = "full"
@@ -164,10 +164,38 @@ class Network:
         self._views: Mapping[PeerId, RoutingView] | None = None
 
     # -- routing ---------------------------------------------------------
+    #
+    # Lookups run in peer-index space: peer i has id peer_ids[i], int
+    # _ints[i] and view members _rows[i], and dead[i] flags it failed.
 
-    def _neighbourhood(self, addr: Address, pid: PeerId) -> tuple[PeerId, ...]:
-        members = [self.peer_ids[j] for j in self._rows[self.peer_index[pid]]]
-        return responsible_peers(addr, pid, members, self.config.ns)
+    def _dead(self) -> list[bool]:
+        """Each peer's failed flag, by peer index."""
+        failed = self.failed
+        return [pid in failed for pid in self.peer_ids]
+
+    def _route(self, i: int, t: int, dead: list[bool]) -> list[int]:
+        """Greedy route from peer i toward target int t over peers not flagged
+        in dead, as peer indices. Every hop strictly decreases XOR distance;
+        the walk stops at a local minimum."""
+        ints, rows = self._ints, self._rows
+        path = [i]
+        best_d = t ^ ints[i]
+        while True:
+            best = -1
+            for j in rows[i]:
+                d = t ^ ints[j]
+                if d < best_d and not dead[j]:
+                    best, best_d = j, d
+            if best < 0:
+                return path
+            i = best
+            path.append(i)
+
+    def _neighbourhood(self, a: int, i: int) -> list[int]:
+        """responsible_peers over indices: the ns peers nearest address int a
+        among peer i and its view members, nearest first."""
+        ints = self._ints
+        return sorted((i, *self._rows[i]), key=lambda j: a ^ ints[j])[: self.config.ns]
 
     @property
     def views(self) -> Mapping[PeerId, RoutingView]:
@@ -185,20 +213,8 @@ class Network:
         i = self.peer_index.get(entry)
         if i is None:
             raise ValueError("unknown entry peer")
-        ids, ints, failed = self.peer_ids, self._ints, self.failed
-        t = int.from_bytes(target, "big")
-        path = [entry]
-        best_d = t ^ ints[i]
-        while True:
-            best = -1
-            for j in self._rows[i]:
-                d = t ^ ints[j]
-                if d < best_d and ids[j] not in failed:
-                    best, best_d = j, d
-            if best < 0:
-                return path
-            i = best
-            path.append(ids[i])
+        path = self._route(i, int.from_bytes(target, "big"), self._dead())
+        return [self.peer_ids[j] for j in path]
 
     def _lookup_index(self) -> LookupIndex:
         """Every live peer's id as an int, ascending, and each address the
@@ -210,15 +226,19 @@ class Network:
 
     def _locate(
         self,
-        entry: PeerId,
+        entry: int,
         addr: Address,
+        dead: list[bool],
         index: Callable[[], LookupIndex],
     ) -> tuple[bytes | None, int]:
-        """Find a live holder of addr, returning (payload, peers probed).
+        """Find a live holder of addr from peer index entry, returning
+        (payload, peers probed). dead flags the failed peers by index.
 
         Probes the requester, the greedy path, the terminal neighborhood,
         then any remaining live peers by ascending distance; the fetch only
-        misses when no live peer holds the chunk at all. index returns
+        misses when no live peer holds the chunk at all. The requester costs
+        no hop. Path peers after the requester are live and distinct, so
+        only the neighbourhood needs the seen test. index returns
         _lookup_index's result; it is called only by the last phase.
 
         The last phase is counted rather than walked. Every peer probed so
@@ -228,40 +248,35 @@ class Network:
         no live peer holds addr. count_nearer bisects the sorted live ints
         for the first count.
         """
+        ids, stores = self.peer_ids, self.stores
+        if not dead[entry]:
+            payload = stores[ids[entry]].get(addr)
+            if payload is not None:
+                return payload, 0
+        a = int.from_bytes(addr, "big")
+        path = self._route(entry, a, dead)
         probes = 0
-        seen: set[PeerId] = set()
-
-        def probe(pid: PeerId) -> bytes | None:
-            nonlocal probes
-            if pid in seen or pid in self.failed:
-                return None
-            seen.add(pid)
-            if pid != entry:
+        for i in path[1:]:
+            probes += 1
+            payload = stores[ids[i]].get(addr)
+            if payload is not None:
+                return payload, probes
+        seen = set(path) if not dead[entry] else set(path[1:])
+        for i in self._neighbourhood(a, path[-1]):
+            if i not in seen and not dead[i]:
+                seen.add(i)
                 probes += 1
-            return self.stores[pid].get(addr)
-
-        payload = probe(entry)
-        if payload is not None:
-            return payload, probes
-        path = self.route_path(entry, addr)
-        for pid in path:
-            payload = probe(pid)
-            if payload is not None:
-                return payload, probes
-        for pid in self._neighbourhood(addr, path[-1]):
-            payload = probe(pid)
-            if payload is not None:
-                return payload, probes
+                payload = stores[ids[i]].get(addr)
+                if payload is not None:
+                    return payload, probes
         live, held = index()
         found = held.get(addr)
         if not found:
             return None, probes + len(live) - len(seen)
-        a = int.from_bytes(addr, "big")
         ints, at = self._ints, self.peer_index
-        nearest = min(found, key=lambda pid: a ^ ints[at[pid]])
-        d = a ^ ints[at[nearest]]
-        nearer = count_nearer(live, a, d) - len([p for p in seen if a ^ ints[at[p]] < d])
-        return self.stores[nearest][addr], probes + nearer + 1
+        d, nearest = min((a ^ ints[at[pid]], pid) for pid in found)
+        nearer = count_nearer(live, a, d) - len([i for i in seen if a ^ ints[i] < d])
+        return stores[nearest][addr], probes + nearer + 1
 
     # -- upload / retrieve -------------------------------------------------
 
@@ -288,14 +303,16 @@ class Network:
 
         # stateless draw: reloading the network must not shift later uploads
         draw = derive_rng("upload-entry", self.config.seed, manifest.root)
-        entry = self.peer_ids[draw.randrange(len(self.peer_ids))]
+        entry = draw.randrange(len(self.peer_ids))
+        ids, stores, dead = self.peer_ids, self.stores, self._dead()
         for addr, payload in chunks.items():
-            path = self.route_path(entry, addr)
-            for pid in path:
-                self.stores[pid][addr] = payload
-            for pid in self._neighbourhood(addr, path[-1]):
-                if pid not in self.failed:
-                    self.stores[pid][addr] = payload
+            a = int.from_bytes(addr, "big")
+            path = self._route(entry, a, dead)
+            for i in path:
+                stores[ids[i]][addr] = payload
+            for i in self._neighbourhood(a, path[-1]):
+                if not dead[i]:
+                    stores[ids[i]][addr] = payload
         if self.sync_mode == SYNC_FULL:
             self._pull_round(chunks)
         return manifest
@@ -338,9 +355,10 @@ class Network:
         # built by the first lookup that reaches the last phase, if any; on a
         # network that was never normalised most retrievals need none
         index = functools.cache(self._lookup_index)
+        entry, dead = self.peer_index[from_peer], self._dead()
 
         def fetch(addr: Address) -> bytes | None:
-            payload, probes = self._locate(from_peer, addr, index)
+            payload, probes = self._locate(entry, addr, dead, index)
             stats.hops += probes
             if payload is not None:
                 stats.bytes_fetched += len(payload)

@@ -7,6 +7,10 @@ from hypothesis import given, settings, strategies as st
 from swarmsim.chunker import ChunkParams, build_tree, content_address, split_file
 from swarmsim.codec import (
     CodingParams,
+    _combine,
+    _decoder,
+    _generator,
+    _mat_inv,
     encode_tree,
     gf_inv,
     gf_mul,
@@ -143,6 +147,53 @@ class TestCodewords:
             rs_encode([b"a", b"b", b"c"], CodingParams(k=2, n=3))
         with pytest.raises(ValueError, match="no data"):
             rs_encode([], CodingParams(k=2, n=3))
+
+
+def uncached_decode(present, params, lengths):
+    """rs_decode's field arithmetic with the inverse computed afresh."""
+    kk = len(lengths)
+    nn = kk + params.n - params.k
+    symbols = dict(present)
+    chosen = sorted(symbols)[:kk]
+    gen = _generator(kk, nn)
+    inverse = _mat_inv([gen[i][:] for i in chosen])
+    decoded = _combine(inverse, [symbols[i] for i in chosen], max(lengths))
+    return [payload[:n] for payload, n in zip(decoded, lengths)]
+
+
+class TestDecoderCache:
+    @pytest.mark.parametrize("kk,lengths", [
+        (4, [4096] * 4), (3, [4096, 4096, 17]), (2, [4096, 904]), (1, [300]),
+    ])
+    def test_every_subset_matches_the_uncached_inverse(self, kk, lengths):
+        """Every k'-of-n' subset of a k=4, n=6 group, full and short, decodes
+        to the same bytes as a fresh inversion, on a cold and a warm cache."""
+        params = CodingParams(k=4, n=6)
+        data = [seeded_bytes(n, "cache", kk, i) for i, n in enumerate(lengths)]
+        symbols = data + rs_encode(data, params)
+        nn = len(symbols)
+        assert nn == kk + 2
+        _decoder.cache_clear()
+        for _ in range(2):
+            for kept in itertools.combinations(range(nn), kk):
+                present = [(i, symbols[i]) for i in kept]
+                got = rs_decode(present, params, lengths)
+                assert got == data
+                if kept != tuple(range(kk)):
+                    assert got == uncached_decode(present, params, lengths)
+        patterns = len(list(itertools.combinations(range(nn), kk)))
+        assert _decoder.cache_info().currsize == patterns - 1  # all data needs no inverse
+
+    def test_inverse_is_computed_once_per_loss_pattern(self):
+        params = CodingParams(k=4, n=6)
+        _decoder.cache_clear()
+        for label in range(3):
+            data = [seeded_bytes(64, "pattern", label, i) for i in range(4)]
+            symbols = data + rs_encode(data, params)
+            present = [(i, symbols[i]) for i in (0, 2, 4, 5)]
+            assert rs_decode(present, params, [64] * 4) == data
+        info = _decoder.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
 
 
 class TestEncodeTree:

@@ -2,6 +2,7 @@ import dataclasses
 
 import pytest
 
+from swarmsim import harness
 from swarmsim.chunker import ChunkParams
 from swarmsim.codec import CodingParams, group_data_lengths
 from swarmsim.errors import InfeasiblePlanError, SnapshotMismatchError
@@ -17,9 +18,9 @@ from swarmsim.harness import (
     run_experiment,
     run_iterations,
 )
-from swarmsim.netsim import SYNC_FULL, SYNC_NONE, SimConfig, spawn_network
+from swarmsim.netsim import SYNC_FULL, SYNC_NONE, Network, SimConfig, spawn_network
 from swarmsim.overlay import make_peer_ids
-from swarmsim.seeds import derive_rng
+from swarmsim.seeds import derive_rng, seeded_bytes
 from swarmsim.tools import listchunks
 
 CONFIG = ExperimentConfig(
@@ -116,6 +117,38 @@ class TestPrepare:
         )
         with pytest.raises(InfeasiblePlanError, match=r"bakedeletion\["):
             prepare(spawn_network(tiny.sim), tiny)
+
+    def test_shared_chunk_without_a_common_keeper_is_refused_untouched(self, monkeypatch):
+        """Two files share their first 40 000 bytes, so their plans each keep
+        the shared chunks, but on keepers of their own: no peer survives the
+        intersection. prepare refuses before it deletes anything."""
+        shared = seeded_bytes(40_000, "shared")
+        contents = [shared + seeded_bytes(160_000, "tail", 0),
+                    shared + seeded_bytes(110_000, "tail", 1)]
+        monkeypatch.setattr(harness, "file_bytes", lambda config, index: contents[index])
+        config = ExperimentConfig(
+            sim=SimConfig(num_peers=10, seed=5, view_size=9, sync_mode=SYNC_NONE),
+            file_sizes=(200_000, 150_000),
+            chunk=ChunkParams(branching=4),
+            coding=None,
+            target_r=1,
+            fractions=(0.0,),
+            iterations=1,
+            min_degree=1,
+        )
+        network = spawn_network(config.sim)
+        before = {}
+
+        def upload(data, *args):
+            manifest = Network.upload(network, data, *args)
+            before.update({pid: dict(store) for pid, store in network.stores.items()})
+            return manifest
+
+        network.upload = upload
+        refused = r"combinestorage: chunk [0-9a-f]{64} kept by 0 of target_r 1"
+        with pytest.raises(InfeasiblePlanError, match=refused):
+            prepare(network, config)
+        assert network.stores == before
 
 
 class TestCensus:

@@ -3,8 +3,11 @@ sorted walk and the copy-per-peer views they replace, kept here as
 reference implementations; the bisected count against a direct count; the
 per-config view cache against build_views; and routing, neighbourhoods and
 the pull round over the shared index rows against the same walks over
-build_views' frozenset views."""
+build_views' frozenset views; and lookups in peer-index space in the cases
+they treat apart: holders on the path, failed peers in the neighbourhood or
+as the requester, neighbourhoods wider than a view, and two or three peers."""
 
+import functools
 import random
 import warnings
 from dataclasses import replace
@@ -167,11 +170,11 @@ def normalised(seed, coding=CodingParams(k=4, n=6)):
 def assert_lookups_match(net, addresses, entries):
     """Every (entry, address) lookup agrees with the sorted walk; returns
     how many were answered by the entry itself and how many missed."""
-    index = net._lookup_index()
+    index, dead = net._lookup_index(), net._dead()
     by_entry = misses = 0
     for entry in entries:
         for addr in addresses:
-            got = net._locate(entry, addr, lambda: index)
+            got = net._locate(net.peer_index[entry], addr, dead, lambda: index)
             assert got == reference_locate(net, entry, addr)
             by_entry += got == (net.stores[entry].get(addr), 0) and got[0] is not None
             misses += got[0] is None
@@ -220,7 +223,9 @@ class TestCountedLookup:
         monkeypatch.setattr(
             Network,
             "_locate",
-            lambda self, entry, addr, index: reference_locate(self, entry, addr),
+            lambda self, entry, addr, dead, index: reference_locate(
+                self, self.peer_ids[entry], addr
+            ),
         )
         assert got == [net.retrieve(edited, entry) for entry in entries]
         if fraction == 0.0:
@@ -391,7 +396,8 @@ class TestRoutingOverIndexRows:
             for target in targets:
                 path = net.route_path(entry, target)
                 assert path == reference_route_path(views, net.failed, entry, target)
-                assert net._neighbourhood(target, path[-1]) == reference_neighbourhood(
+                hood = net._neighbourhood(int.from_bytes(target, "big"), net.peer_index[path[-1]])
+                assert tuple(net.peer_ids[j] for j in hood) == reference_neighbourhood(
                     views, target, path[-1], net.config.ns
                 )
 
@@ -423,3 +429,124 @@ class TestRoutingOverIndexRows:
         net, _ = oracle_network(17, 4, 0.0)
         with pytest.raises(ValueError, match="unknown entry peer"):
             net.route_path(b"\x00" * 32, derive_bytes("target"))
+
+
+# -- lookups in peer-index space ----------------------------------------------
+
+
+def lookup_network(n, view_size, ns, seed=3):
+    """A spawned network holding one uploaded 12 000-byte file."""
+    cfg = SimConfig(num_peers=n, seed=seed, view_size=view_size, ns=ns, sync_mode=SYNC_NONE)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # view_size >= n is clamped
+        net = spawn_network(cfg)
+    manifest = net.upload(seeded_bytes(12_000, "index-space", n), ChunkParams(1024, 4))
+    return net, list(listchunks(manifest))
+
+
+def locate(net, entry, addr):
+    """_locate from peer id entry, with the failed flags and lookup index
+    built the way retrieve builds them."""
+    index = functools.cache(net._lookup_index)
+    return net._locate(net.peer_index[entry], addr, net._dead(), index)
+
+
+def routed(net, count):
+    """count (entry, address, path) triples with a path of three or more
+    peers, over seeded addresses and every entry in turn."""
+    found = []
+    for i in range(10_000):
+        entry = net.peer_ids[i % len(net.peer_ids)]
+        addr = derive_bytes("routed", i)
+        path = net.route_path(entry, addr)
+        if len(path) >= 3:
+            found.append((entry, addr, path))
+            if len(found) == count:
+                return found
+    raise AssertionError("too few multi-hop routes")
+
+
+class TestLookupsInIndexSpace:
+    def test_a_holder_on_the_greedy_path(self):
+        """The only holder sits on the path: the lookup stops there, one hop
+        per path peer after the requester."""
+        net, _ = lookup_network(80, 6, 3)
+        for entry, addr, path in routed(net, 10):
+            for at in range(1, len(path)):
+                net.stores[path[at]][addr] = b"on-path"
+                assert locate(net, entry, addr) == (b"on-path", at)
+                assert locate(net, entry, addr) == reference_locate(net, entry, addr)
+                del net.stores[path[at]][addr]
+
+    def test_a_failed_peer_inside_the_terminal_neighbourhood(self):
+        """A failed neighbourhood peer costs no hop and is passed over, also
+        when it holds the chunk; the lookup reaches the next live holder."""
+        net, _ = lookup_network(80, 6, 5)
+        checked = 0
+        for entry, addr, path in routed(net, 10):
+            hood = [net.peer_ids[j] for j in net._neighbourhood(
+                int.from_bytes(addr, "big"), net.peer_index[path[-1]])]
+            off_path = [pid for pid in hood if pid not in path]
+            if len(off_path) < 2:
+                continue
+            dead, holder = off_path[0], off_path[-1]
+            net.fail_peers(peers=[dead])
+            assert net.route_path(entry, addr) == path  # it was never chosen
+            for stored in ([dead, holder], [dead]):
+                for pid in stored:
+                    net.stores[pid][addr] = b"hood"
+                got = locate(net, entry, addr)
+                assert got == reference_locate(net, entry, addr)
+                assert got[0] == (b"hood" if holder in stored else None)
+                for pid in stored:
+                    del net.stores[pid][addr]
+            net.failed.clear()
+            checked += 1
+        assert checked >= 5
+
+    def test_a_failed_requester(self):
+        """A failed requester is never probed and costs no hop, in any phase;
+        the lookup starts its walk from it all the same."""
+        net, addresses = lookup_network(80, 6, 3)
+        net.fail_peers(fraction=0.3, seed=2)
+        failed = sorted(net.failed, key=net.peer_index.__getitem__)
+        for entry in failed[::3]:
+            for addr in addresses + [derive_bytes("absent")]:
+                assert locate(net, entry, addr) == reference_locate(net, entry, addr)
+
+    def test_ns_larger_than_the_view(self):
+        """ns=20 over 16-member views: the neighbourhood is the whole view."""
+        net, addresses = lookup_network(90, 16, 20)
+        a = int.from_bytes(addresses[0], "big")
+        assert all(len(net._neighbourhood(a, i)) == 17 for i in range(90))
+        net.fail_peers(fraction=0.3, seed=4)
+        entries = net.live_peers()[::7]
+        assert_lookups_match(net, addresses + [derive_bytes("absent")], entries)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("fraction", [0.0, 0.4])
+    def test_two_and_three_peers(self, n, fraction):
+        net, addresses = lookup_network(n, 16, 3)
+        net.fail_peers(fraction=fraction, seed=1)
+        entries = net.live_peers()
+        assert_lookups_match(net, addresses + [derive_bytes("absent")], entries)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(2, 60),
+        seed=st.integers(0, 3),
+        view_size=st.integers(1, 20),
+        ns=st.integers(1, 20),
+        peer=st.integers(0, 59),
+        addr=st.binary(min_size=32, max_size=32),
+    )
+    def test_neighbourhood_is_responsible_peers(self, n, seed, view_size, ns, peer, addr):
+        cfg = SimConfig(num_peers=n, seed=seed, view_size=view_size, ns=ns)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            net = spawn_network(cfg)
+        pid = net.peer_ids[peer % n]
+        hood = net._neighbourhood(int.from_bytes(addr, "big"), peer % n)
+        assert tuple(net.peer_ids[j] for j in hood) == responsible_peers(
+            addr, pid, net.views[pid].known, ns
+        )
