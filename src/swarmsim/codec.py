@@ -10,6 +10,13 @@ layer replicates it like any other chunk.
 
 A short final group with k' < k data chunks is coded as a (k', k' + (n - k))
 code, keeping the parity count uniform across groups.
+
+Encoding and decoding share one GF(256) kernel, a coefficient matrix times
+stacked payload columns. It reads payloads as little-endian two-byte words
+and looks each word up in a 65 536-entry product table for its coefficient,
+so one table pass covers two bytes. encode_tree codes all groups of one k'
+and one padded length in a single kernel call, and rs_decode computes only
+the rows of lost data symbols.
 """
 
 from __future__ import annotations
@@ -142,26 +149,62 @@ def _decoder(k: int, n: int, chosen: tuple[int, ...]) -> list[list[int]]:
     return _mat_inv([gen[i][:] for i in chosen])
 
 
-def _as_padded_array(payload: bytes, length: int) -> np.ndarray:
-    if len(payload) > length:
+@functools.lru_cache(maxsize=64)
+def _word_table(coeff: int) -> np.ndarray:
+    """Product table of one coefficient over two bytes at once: the
+    little-endian uint16 word (hi << 8 | lo) maps to (c*hi << 8 | c*lo).
+    128 KiB each; the bound keeps the cache at most 8 MiB."""
+    row = _MUL[coeff].astype(np.uint16)
+    return ((row[:, None] << 8) | row).ravel()
+
+
+def _stack(columns: list[list[bytes]], length: int) -> np.ndarray:
+    """Payloads as a (columns x payloads x words) array of little-endian
+    uint16 words, each zero-padded to length rounded up to even."""
+    if any(len(p) > length for column in columns for p in column):
         raise ValueError("payload longer than coding length")
-    if len(payload) < length:
-        payload = payload + b"\0" * (length - len(payload))
-    return np.frombuffer(payload, dtype=np.uint8)
+    padded = length + (length & 1)
+    joined = b"".join(p.ljust(padded, b"\0") for column in columns for p in column)
+    return np.frombuffer(joined, dtype="<u2").reshape(len(columns), len(columns[0]), padded // 2)
+
+
+def _gf_matmul(rows: list[list[int]], columns: np.ndarray) -> np.ndarray:
+    """The GF(256) kernel: out[i] = sum over j of rows[i][j] * columns[j],
+    one table pass per nonzero coefficient over every word of a column."""
+    out = np.zeros((len(rows),) + columns.shape[1:], dtype="<u2")
+    for acc, row in zip(out, rows):
+        for coeff, column in zip(row, columns):
+            if coeff:
+                acc ^= np.take(_word_table(coeff), column)
+    return out
+
+
+def _payload(words: np.ndarray, length: int) -> bytes:
+    return words.view(np.uint8)[:length].tobytes()
 
 
 def _combine(rows: list[list[int]], payloads: list[bytes], length: int) -> list[bytes]:
     """Each row of GF(256) coefficients applied to the payloads, zero-padded
     to length: one output payload per row, sum of coefficient * payload."""
-    arrays = [_as_padded_array(p, length) for p in payloads]
-    out = []
-    for row in rows:
-        acc = np.zeros(length, dtype=np.uint8)
-        for coeff, array in zip(row, arrays):
-            if coeff:
-                acc ^= _MUL[coeff][array]
-        out.append(acc.tobytes())
-    return out
+    out = _gf_matmul(rows, _stack([[p] for p in payloads], length))
+    return [_payload(words, length) for words in out[:, 0]]
+
+
+def _parity(groups: list[list[bytes]], parity_count: int) -> list[list[bytes]]:
+    """The parity payloads of every group, in group order. Groups with one
+    k' and one padded length share a generator, so each such bucket is one
+    kernel call over all its groups at once."""
+    buckets: dict[tuple[int, int], list[int]] = {}
+    for gi, data in enumerate(groups):
+        buckets.setdefault((len(data), max(map(len, data))), []).append(gi)
+    parity: list[list[bytes]] = [[] for _ in groups]
+    for (kk, length), members in buckets.items():
+        gen = _generator(kk, kk + parity_count)
+        columns = [[groups[gi][j] for gi in members] for j in range(kk)]
+        out = _gf_matmul(gen[kk:], _stack(columns, length))
+        for slot, gi in enumerate(members):
+            parity[gi] = [_payload(words[slot], length) for words in out]
+    return parity
 
 
 def rs_encode(data: list[bytes], params: CodingParams) -> list[bytes]:
@@ -175,12 +218,7 @@ def rs_encode(data: list[bytes], params: CodingParams) -> list[bytes]:
         raise ValueError("no data payloads to encode")
     if len(data) > params.k:
         raise ValueError(f"group has {len(data)} payloads, limit is {params.k}")
-    parity_count = params.n - params.k
-    if parity_count == 0:
-        return []
-    kk = len(data)
-    gen = _generator(kk, kk + parity_count)
-    return _combine(gen[kk:], data, max(len(p) for p in data))
+    return _parity([data], params.n - params.k)[0]
 
 
 def rs_decode(
@@ -190,8 +228,9 @@ def rs_decode(
 
     present holds (symbol index, payload) pairs; indices 0..k'-1 are data in
     group order, k' and up are parity. lengths gives the original data
-    payload lengths (so k' = len(lengths)). If all data symbols are present
-    they are returned as-is, without field arithmetic.
+    payload lengths (so k' = len(lengths)). Present data symbols are
+    returned as-is; only the rows of lost ones are computed, and with none
+    lost there is no field arithmetic.
     """
     kk = len(lengths)
     if not 1 <= kk <= params.k:
@@ -209,12 +248,14 @@ def rs_decode(
     if len(symbols) < kk:
         raise DecodingError(f"cannot decode group: need {kk}, have {len(symbols)}")
 
-    if all(i in symbols for i in range(kk)):
-        return [symbols[i][: lengths[i]] for i in range(kk)]
-
-    chosen = tuple(sorted(symbols)[:kk])
-    decoded = _combine(_decoder(kk, nn, chosen), [symbols[i] for i in chosen], max(lengths))
-    return [payload[:n] for payload, n in zip(decoded, lengths)]
+    lost = [i for i in range(kk) if i not in symbols]
+    if lost:
+        # data indices sort first, so every present data symbol is chosen
+        chosen = tuple(sorted(symbols)[:kk])
+        inverse = _decoder(kk, nn, chosen)
+        rebuilt = _combine([inverse[i] for i in lost], [symbols[i] for i in chosen], max(lengths))
+        symbols.update(zip(lost, rebuilt))
+    return [symbols[i][:n] for i, n in enumerate(lengths)]
 
 
 @dataclass
@@ -237,11 +278,13 @@ def encode_tree(
     chunks by content address. A single-chunk file has no non-root level
     and gets no groups.
     """
+    runs = list(_group_runs(manifest, params.k))
+    parity = _parity([[chunks[a] for a in data] for _, data in runs], params.n - params.k)
     groups: list[CodingGroup] = []
     parity_chunks: dict[Address, bytes] = {}
-    for level_index, data_addrs in _group_runs(manifest, params.k):
+    for (level_index, data_addrs), payloads in zip(runs, parity):
         parity_addrs = []
-        for payload in rs_encode([chunks[a] for a in data_addrs], params):
+        for payload in payloads:
             addr = content_address(payload)
             parity_chunks[addr] = payload
             parity_addrs.append(addr)

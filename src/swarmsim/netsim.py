@@ -413,10 +413,11 @@ class Network:
         stores = {pid: dict(store) for pid, store in self.stores.items()}
         return Snapshot(config=config, stores=stores, digest=self.census_digest())
 
-    def restore(self, snap: Snapshot) -> str:
+    def restore(self, snap: Snapshot) -> None:
         """Reset stores to the snapshot, clear failure marks, and force
         syncing off. Routing views are kept, since they depend only on this
-        network's config. Returns the census digest."""
+        network's config. Hashes nothing; census_digest() does that on
+        request."""
         if snap.config.num_peers != len(self.peer_ids):
             raise SnapshotMismatchError(
                 f"snapshot has {snap.config.num_peers} peers, "
@@ -427,7 +428,6 @@ class Network:
         self.stores = {pid: dict(snap.stores[pid]) for pid in self.peer_ids}
         self.failed.clear()
         self.sync_mode = SYNC_NONE
-        return self.census_digest()
 
     def wait_for_connectivity(self, min_degree: int) -> ConnectivityReport:
         """Assert every peer's view has at least min_degree members."""

@@ -4,6 +4,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from swarmsim import codec
 from swarmsim.chunker import ChunkParams, build_tree, content_address, split_file
 from swarmsim.codec import (
     CodingParams,
@@ -132,6 +133,34 @@ class TestCodewords:
         for kept in itertools.combinations(range(4), 2):
             present = [(i, symbols[i]) for i in kept]
             assert rs_decode(present, params, [4096, 904]) == data
+
+    @pytest.mark.parametrize("kept", [(0, 1, 2, 4), (1, 2, 3, 5), (0, 2, 4, 5), (0, 1, 2, 3)])
+    def test_only_lost_data_rows_are_computed(self, kept, monkeypatch):
+        params = CodingParams(k=4, n=6)
+        data = [seeded_bytes(64, "rows", i) for i in range(4)]
+        symbols = data + rs_encode(data, params)
+        computed = []
+
+        def spy(rows, columns):
+            computed.append(len(rows))
+            return kernel(rows, columns)
+
+        kernel = codec._gf_matmul
+        monkeypatch.setattr(codec, "_gf_matmul", spy)
+        assert rs_decode([(i, symbols[i]) for i in kept], params, [64] * 4) == data
+        lost = sum(1 for i in range(4) if i not in kept)
+        assert computed == ([lost] if lost else [])
+
+    @pytest.mark.parametrize("long_index", [0, 4])
+    def test_payload_longer_than_the_group_is_refused_once_a_row_is_decoded(self, long_index):
+        params = CodingParams(k=4, n=6)
+        data = [seeded_bytes(64, "long", i) for i in range(4)]
+        symbols = data + rs_encode(data, params)
+        symbols[long_index] += b"\0"
+        with pytest.raises(ValueError, match="payload longer than coding length"):
+            rs_decode([(i, symbols[i]) for i in (0, 1, 2, 4)], params, [64] * 4)
+        # with every data symbol present there is no row to decode
+        assert rs_decode([(i, symbols[i]) for i in range(4)], params, [64] * 4) == data
 
     def test_index_validation(self):
         params = CodingParams(k=2, n=3)
