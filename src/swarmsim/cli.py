@@ -108,7 +108,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("combinestorage", help="merge deletion lists")
     p.add_argument("lists", nargs="*", help="deletion list files")
     p.add_argument("--out", required=True)
-    p.add_argument("--placement", help="re-verify rule A against this placement")
+    p.add_argument("--placement",
+                   help="re-verify rule A and shared chunks' keepers against this placement")
 
     p = sub.add_parser("deletechunks", help="apply a deletion list to the network state")
     p.add_argument("--state", required=True)

@@ -81,22 +81,10 @@ def gf_pow(a: int, e: int) -> int:
     return int(_GF_EXP[(int(_GF_LOG[a]) * e) % 255])
 
 
-def _mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    rows, inner, cols = len(a), len(b), len(b[0])
-    out = [[0] * cols for _ in range(rows)]
-    for i in range(rows):
-        for j in range(cols):
-            acc = 0
-            for t in range(inner):
-                acc ^= gf_mul(a[i][t], b[t][j])
-            out[i][j] = acc
-    return out
-
-
 def _mat_inv(m: list[list[int]]) -> list[list[int]]:
     """Gauss-Jordan inversion over GF(256). Exact; raises on singular input."""
     size = len(m)
-    aug = [row[:] + [1 if i == j else 0 for j in range(size)] for i, row in enumerate(m)]
+    aug = [row + [1 if i == j else 0 for j in range(size)] for i, row in enumerate(m)]
     for col in range(size):
         pivot = next((r for r in range(col, size) if aug[r][col]), None)
         if pivot is None:
@@ -123,21 +111,15 @@ class CodingParams:
             raise ValueError("coding requires 1 <= k <= n <= 256")
 
 
-_GENERATORS: dict[tuple[int, int], list[list[int]]] = {}
-
-
+@functools.cache
 def _generator(k: int, n: int) -> list[list[int]]:
     """n x k systematic generator: Vandermonde rows times the inverse of the
-    top k x k block. Any k rows are invertible, and the top k rows are the
-    identity."""
-    cached = _GENERATORS.get((k, n))
-    if cached is not None:
-        return cached
+    top k x k block, each entry an XOR of _MUL products. Any k rows are
+    invertible, and the top k rows are the identity. Cached; callers must
+    not modify the result."""
     vander = [[gf_pow(x, j) for j in range(k)] for x in range(n)]
-    top_inv = _mat_inv([row[:] for row in vander[:k]])
-    gen = _mat_mul(vander, top_inv)
-    _GENERATORS[(k, n)] = gen
-    return gen
+    products = _MUL[np.array(vander)[:, :, None], np.array(_mat_inv(vander[:k]))]
+    return np.bitwise_xor.reduce(products, axis=1).tolist()
 
 
 @functools.lru_cache(maxsize=256)
@@ -146,7 +128,7 @@ def _decoder(k: int, n: int, chosen: tuple[int, ...]) -> list[list[int]]:
     back to the k data symbols. Repaired groups repeat a few loss patterns,
     so each is inverted once; callers must not modify the result."""
     gen = _generator(k, n)
-    return _mat_inv([gen[i][:] for i in chosen])
+    return _mat_inv([gen[i] for i in chosen])
 
 
 @functools.lru_cache(maxsize=64)
@@ -316,19 +298,6 @@ def group_data_lengths(manifest: FileManifest) -> list[list[int]]:
     return out
 
 
-def address_lengths(manifest: FileManifest) -> dict[Address, int]:
-    """Payload length of every address of a file, from the tree geometry; a
-    parity chunk is as long as the longest data chunk of its group."""
-    lengths = {
-        addr: size
-        for level, row in zip(manifest.levels, level_payload_lengths(manifest))
-        for addr, size in zip(level, row)
-    }
-    for group, data_lengths in zip(manifest.groups, group_data_lengths(manifest)):
-        lengths.update(dict.fromkeys(group.parity_addresses, max(data_lengths)))
-    return lengths
-
-
 def repair_retrieve(
     root: Address,
     fetch: Callable[[Address], Optional[bytes]],
@@ -352,20 +321,11 @@ def repair_retrieve(
         for addr in group.data_addresses + group.parity_addresses:
             member_of.setdefault(addr, gi)
 
-    memo: dict[Address, bytes] = {}
-    misses: set[Address] = set()
+    fetched = functools.cache(fetch)
+    rebuilt: dict[Address, bytes] = {}
 
     def lookup(addr: Address) -> Optional[bytes]:
-        if addr in memo:
-            return memo[addr]
-        if addr in misses:
-            return None
-        payload = fetch(addr)
-        if payload is None:
-            misses.add(addr)
-        else:
-            memo[addr] = payload
-        return payload
+        return rebuilt[addr] if addr in rebuilt else fetched(addr)
 
     def repair(gi: int) -> None:
         group, data_lengths = manifest.groups[gi], lengths()[gi]
@@ -386,8 +346,7 @@ def repair_retrieve(
                 raise DecodingError(
                     f"repaired chunk does not hash to recorded address {addr.hex()}"
                 )
-            memo[addr] = payload
-            misses.discard(addr)
+            rebuilt[addr] = payload
         if on_group_repaired is not None:
             on_group_repaired(group)
 
@@ -399,7 +358,7 @@ def repair_retrieve(
         if gi is None:
             return None
         repair(gi)
-        return memo.get(addr)
+        return rebuilt.get(addr)
 
     return reassemble(root, resolve, manifest.params, manifest.file_size)
 

@@ -22,12 +22,12 @@ from typing import Iterable
 from .chunker import (
     Address, ChunkParams, FileManifest, build_tree, parse_decimal, parse_keys, split_file,
 )
-from .codec import CodingParams, address_lengths, encode_tree
+from .codec import CodingParams, encode_tree
 from .errors import InfeasiblePlanError, SnapshotMismatchError, SwarmSimError
-from .netsim import Network, RetrievalStats, SimConfig, Snapshot, SYNC_NONE, holders, spawn_network
+from .netsim import Network, RetrievalStats, SimConfig, Snapshot, SYNC_NONE, spawn_network
 from .overlay import PeerId
 from .seeds import derive_int, derive_rng, seeded_bytes
-from .tools import DeletionEntry, RulesReport, check_rules, check_union, deletechunks, dropped
+from .tools import DeletionEntry, RulesReport, check_rules, deletechunks, dropped, merge_keeps
 from .tools import holders_map, listchunks, placement_from_network, plan_keep
 from .tools import bakedeletion, combinestorage  # not called here; perfbench's tracer patches them
 
@@ -165,23 +165,14 @@ def prepare(network: Network, config: ExperimentConfig) -> PrepareResult:
     census_before = census(network)
     placement = placement_from_network(network, files)
 
-    # a replica survives only if the plan of every file naming its chunk keeps it
-    kept: dict[Address, set[PeerId]] = {}
+    plans = []
     for fid in file_ids:
         try:
-            plan = plan_keep(placement.restrict(fid), config.target_r)
+            plans.append(plan_keep(placement.restrict(fid), config.target_r))
         except InfeasiblePlanError as exc:
             raise InfeasiblePlanError(f"bakedeletion[{fid}]: {exc}") from exc
-        for addr, keepers in plan.items():
-            kept[addr] = kept[addr] & keepers if addr in kept else keepers
     try:
-        check_union(placement, kept)
-        # plans of files sharing a chunk can keep it on disjoint peers
-        for addr in sorted(kept):
-            if len(kept[addr]) != config.target_r:
-                raise InfeasiblePlanError(
-                    f"chunk {addr.hex()} kept by {len(kept[addr])} of target_r {config.target_r}"
-                )
+        kept = merge_keeps(placement, plans)
     except InfeasiblePlanError as exc:
         raise InfeasiblePlanError(f"combinestorage: {exc}") from exc
 
@@ -213,11 +204,16 @@ def prepare(network: Network, config: ExperimentConfig) -> PrepareResult:
 def _file_overheads(
     snapshot: Snapshot, manifests: list[FileManifest]
 ) -> dict[str, float]:
-    """Stored bytes over original bytes per file, measured on the snapshot."""
-    held = holders(snapshot.stores)
+    """Stored bytes over original bytes per file, measured on the snapshot:
+    the payloads it holds of the file's level and parity addresses."""
     overheads: dict[str, float] = {}
     for manifest in manifests:
-        stored = sum(len(held.get(a, ())) * n for a, n in address_lengths(manifest).items())
+        addrs = {a for level in manifest.levels for a in level}
+        addrs.update(a for group in manifest.groups for a in group.parity_addresses)
+        stored = sum(
+            len(payload) for store in snapshot.stores.values()
+            for addr, payload in store.items() if addr in addrs
+        )
         overheads[manifest.root.hex()] = stored / manifest.file_size
     return overheads
 

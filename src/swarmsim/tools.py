@@ -410,29 +410,44 @@ def combinestorage(
 ) -> list[DeletionEntry]:
     """Merge deletion lists into one sorted, duplicate-free list.
 
-    With a placement given, rule A is re-verified across the union: per-file
-    lists can be individually safe yet jointly starve a peer of a shared
-    chunk's file.
+    With a placement given, the replicas each list leaves are merged by
+    merge_keeps: per-file lists can be individually safe yet jointly starve
+    a peer of a shared chunk's file, or delete every replica of the chunk.
     """
     merged = sorted({entry for lst in lists for entry in lst})
     if placement is not None:
-        removed = set(merged)
-        check_union(placement, {
-            a: {p for p in holders if (p, a) not in removed}
-            for a, holders in placement.chunk_to_peers.items()
-        })
+        merge_keeps(placement, [
+            {a: {p for p in holders if (p, a) not in removed}
+             for a, holders in placement.chunk_to_peers.items()}
+            for removed in map(set, lists)
+        ])
     return merged
 
 
-def check_union(placement: PlacementMap, kept: dict[Address, set[PeerId]]) -> None:
-    """Rule A across files: raise InfeasiblePlanError naming the first peer
-    that the kept replicas leave without a chunk of a file it held."""
+def merge_keeps(
+    placement: PlacementMap, keeps: Sequence[dict[Address, set[PeerId]]]
+) -> dict[Address, set[PeerId]]:
+    """The replicas every keep map keeps. Raise InfeasiblePlanError if they
+    leave a peer without a chunk of a file it held (rule A across files), or
+    keep a chunk on fewer peers than the fewest any map gave it: maps of
+    files sharing a chunk can keep it on disjoint peers."""
+    kept: dict[Address, set[PeerId]] = {}
+    for keep in keeps:
+        for addr, keepers in keep.items():
+            kept[addr] = kept[addr] & keepers if addr in kept else keepers
     starved = _starved_pairs(placement, kept)
     if starved:
         pid, fid = starved[0]
         raise InfeasiblePlanError(
             f"combined deletions starve peer {pid.hex()} of file {fid} (rule A)"
         )
+    for addr in sorted(kept):
+        target_r = min(len(keep[addr]) for keep in keeps if addr in keep)
+        if len(kept[addr]) < target_r:
+            raise InfeasiblePlanError(
+                f"chunk {addr.hex()} kept by {len(kept[addr])} of target_r {target_r}"
+            )
+    return kept
 
 
 def deletechunks(network, entries: Sequence[DeletionEntry]) -> DeleteReport:

@@ -1,4 +1,5 @@
 import io
+import re
 import shutil
 import subprocess
 import sys
@@ -541,3 +542,51 @@ class TestPipeCompose:
         emit_reports([], prepared.census_after, ref_dir)
         for name in ("replicas_per_chunk.csv", "chunks_per_peer.csv"):
             assert (cli_dir / name).read_bytes() == (ref_dir / name).read_bytes()
+
+    def test_merge_deleting_every_replica_of_a_shared_chunk_is_refused(self, tmp_path):
+        """Two files share their first 40 000 bytes. Each per-file plan keeps
+        every shared chunk once, on a keeper of its own, so their union
+        deletes every replica of one; the joint check refuses it."""
+        shared = seeded_bytes(40_000, "shared")
+        state_dir = tmp_path / "net"
+        manifests = []
+        for index, (name, size) in enumerate((("a", 160_000), ("b", 110_000))):
+            source = tmp_path / f"{name}.bin"
+            source.write_bytes(shared + seeded_bytes(size, "tail", index))
+            manifest = tmp_path / f"m{name}.txt"
+            code, _, err = cli(
+                "upload", "--file", source, "--state", state_dir, "--out", manifest,
+                "--peers", 10, "--seed", 5, "--view-size", 9, "--no-sync", "--branching", 4,
+            )
+            assert code == EX_OK, err
+            manifests.append(manifest)
+        joint = tmp_path / "joint.txt"
+        code, _, err = cli(
+            "stats", "--state", state_dir, "--manifest", manifests[0],
+            "--manifest", manifests[1], "--placement-out", joint,
+        )
+        assert code == EX_OK, err
+        plans = []
+        for index, manifest in enumerate(manifests):
+            placement, plan = tmp_path / f"p{index}.txt", tmp_path / f"d{index}.txt"
+            code, _, err = cli("stats", "--state", state_dir, "--manifest", manifest,
+                               "--placement-out", placement)
+            assert code == EX_OK, err
+            code, _, err = cli("bakedeletion", "--placement", placement,
+                               "--target-r", 1, "--out", plan)
+            assert code == EX_OK, err
+            plans.append(plan)
+
+        before = dir_bytes(state_dir)
+        combined = tmp_path / "combined.txt"
+        code, _, err = cli("combinestorage", plans[0], plans[1],
+                           "--placement", joint, "--out", combined)
+        assert code == EX_INFEASIBLE
+        assert re.fullmatch(r"infeasible: chunk [0-9a-f]{64} kept by 0 of target_r 1\n", err)
+        assert not combined.exists()
+        assert dir_bytes(state_dir) == before
+        back = tmp_path / "back.bin"
+        code, _, err = cli("retrieve", "--state", state_dir, "--manifest", manifests[0],
+                           "--out", back)
+        assert code == EX_OK, err
+        assert back.read_bytes() == (tmp_path / "a.bin").read_bytes()

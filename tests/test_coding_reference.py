@@ -1,5 +1,6 @@
 """The GF(256) kernel against the one-byte, one-coefficient-at-a-time loop
-it replaced.
+it replaced, and the generator matrices against the scalar matrix product
+they were once built with.
 
 The reference below multiplies each payload by each coefficient through a
 row of the 256 x 256 product table and XORs the results, one group at a
@@ -23,7 +24,10 @@ from swarmsim.codec import (
     _decoder,
     _generator,
     _group_runs,
+    _mat_inv,
     encode_tree,
+    gf_mul,
+    gf_pow,
     group_data_lengths,
     rs_decode,
     rs_encode,
@@ -43,6 +47,34 @@ TREES = {
     # 74 leaves of the default geometry under one root, last leaf short
     "default": (300_000, ChunkParams()),
 }
+
+
+def reference_mat_mul(a, b):
+    """GF(256) matrix product, one gf_mul per term."""
+    out = [[0] * len(b[0]) for _ in a]
+    for i, row in enumerate(a):
+        for j in range(len(b[0])):
+            for t, coeff in enumerate(row):
+                out[i][j] ^= gf_mul(coeff, b[t][j])
+    return out
+
+
+def reference_generator(k, n):
+    vander = [[gf_pow(x, j) for j in range(k)] for x in range(n)]
+    return reference_mat_mul(vander, _mat_inv(vander[:k]))
+
+
+# k -> the n tried with it
+GENERATOR_SHAPES = {k: range(k, k + 17) for k in range(1, 17)} | {32: [48]}
+
+
+@pytest.mark.parametrize("k", sorted(GENERATOR_SHAPES))
+def test_generator_matches_the_scalar_product(k):
+    for n in GENERATOR_SHAPES[k]:
+        gen = _generator(k, n)
+        assert gen == reference_generator(k, n)
+        assert gen[:k] == [[int(i == j) for j in range(k)] for i in range(k)]
+        assert all(type(c) is int for row in gen for c in row)
 
 
 def reference_combine(rows, payloads, length):

@@ -328,6 +328,21 @@ class TestCombineStorage:
         merged = combinestorage(plans, placement)
         assert merged == sorted(set(plans[0]) | set(plans[1]))
 
+    def test_shared_chunk_kept_on_overlapping_peers_is_refused(self):
+        # each list keeps the shared chunk C1 twice, on {P1, P2} and on
+        # {P2, P3}; rule A holds for the union, but C1 keeps only P2
+        every = {P1, P2, P3}
+        placement = PlacementMap(
+            chunk_to_peers={C1: set(every), C2: set(every), C3: set(every)},
+            files={"f1": (C1, C2), "f2": (C1, C3)},
+        )
+        list_f1 = [(P3, C1), (P2, C2)]
+        list_f2 = [(P1, C1), (P2, C3)]
+        for plan in (list_f1, list_f2):
+            assert check_rules(placement, apply_plan(placement, plan), 2).a_ok
+        with pytest.raises(InfeasiblePlanError, match=f"^chunk {C1.hex()} kept by 1 of target_r 2$"):
+            combinestorage([list_f1, list_f2], placement)
+
 
 class TestDeleteChunks:
     def network_with_file(self):
