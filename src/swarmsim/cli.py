@@ -82,7 +82,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--ns", type=int, help="neighbourhood size")
     p.add_argument("--backends", type=int, help="backend count")
     p.add_argument("--no-sync", action="store_true",
-                   help="upload without the pull round")
+                   help="upload without the pull round; switches an existing state to no_sync")
     p.add_argument("--chunk-size", type=int, help="chunk size in bytes")
     p.add_argument("--branching", type=int, help="tree branching factor")
     p.add_argument("--k", type=int, help="data chunks per coding group")
@@ -175,7 +175,8 @@ def _cmd_upload(args, stdout) -> int:
                     f"--{flag.replace('_', '-')} {given[name]} disagrees with "
                     f"the state's {held}"
                 )
-        network.sync_mode = sync_mode
+        if args.no_sync:  # leaving the flag out keeps the state's mode
+            network.sync_mode = sync_mode
     else:
         if args.peers is None:
             raise UsageError("--peers is required for a fresh network")

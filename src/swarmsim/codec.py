@@ -152,12 +152,17 @@ def _stack(columns: list[list[bytes]], length: int) -> np.ndarray:
 
 def _gf_matmul(rows: list[list[int]], columns: np.ndarray) -> np.ndarray:
     """The GF(256) kernel: out[i] = sum over j of rows[i][j] * columns[j],
-    one table pass per nonzero coefficient over every word of a column."""
+    one table pass per nonzero coefficient over each tile of 32 K words of
+    a column, so a pass and its result stay in cache on large files."""
     out = np.zeros((len(rows),) + columns.shape[1:], dtype="<u2")
-    for acc, row in zip(out, rows):
-        for coeff, column in zip(row, columns):
-            if coeff:
-                acc ^= np.take(_word_table(coeff), column)
+    words = columns.reshape(len(columns), -1)
+    flat, step = out.reshape(len(rows), words.shape[1]), 1 << 15
+    for lo in range(0, flat.shape[1], step):
+        tiles = words[:, lo : lo + step]
+        for acc, row in zip(flat[:, lo : lo + step], rows):
+            for coeff, tile in zip(row, tiles):
+                if coeff:
+                    acc ^= np.take(_word_table(coeff), tile)
     return out
 
 

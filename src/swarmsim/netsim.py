@@ -47,7 +47,6 @@ from .overlay import (
     RoutingView,
     build_views,
     clamp_view_size,
-    count_nearer,
     make_peer_ids,
 )
 from .overlay import responsible_peers  # not called here; perfbench's tracer patches it
@@ -114,23 +113,49 @@ class Snapshot:
     digest: str
 
 
-# live peer ints ascending, and address -> live holders
-LookupIndex = tuple[list[int], dict[Address, list[PeerId]]]
-# peer ids, the same ids as ints, and each peer's view members as peer indices
-ViewRows = tuple[tuple[PeerId, ...], tuple[int, ...], tuple[tuple[int, ...], ...]]
+# live peers' distance keys, and address -> live holders
+LookupIndex = tuple[np.ndarray, dict[Address, list[PeerId]]]
+# peer ids, the same ids as ints, each peer's view members as peer indices,
+# and as arrays: each id's distance key and the P x w view member matrix
+ViewRows = tuple[
+    tuple[PeerId, ...], tuple[int, ...], tuple[tuple[int, ...], ...], np.ndarray, np.ndarray
+]
+
+
+def _distance_keys(ids) -> np.ndarray:
+    """The top 64 bits of each id or address as uint64. Distances are only
+    compared between two peers' distances to one address, and peers differ
+    in their top 64 bits, so the keys decide every such comparison."""
+    return np.frombuffer(b"".join(x[:8] for x in ids), dtype=">u8").astype(np.uint64)
 
 
 @functools.lru_cache(maxsize=16)
 def _view_rows(num_peers: int, seed: int, view_size: int) -> ViewRows:
     """Views depend on these three values alone, so one build serves every
     network of a config in the process; they all share it, so every part is
-    a tuple. view_size must already be clamped."""
+    a tuple or a read-only array. view_size must already be clamped, so
+    every view has exactly view_size members."""
     peer_ids = make_peer_ids(num_peers, seed)
+    keys = _distance_keys(peer_ids)
+    if len(set(keys.tolist())) != num_peers:
+        raise ValueError("two peer ids share their top 64 bits; change the seed")
     index = {pid: i for i, pid in enumerate(peer_ids)}
     views = build_views(peer_ids, view_size, seed)
     rows = tuple(tuple(index[q] for q in views[pid].known) for pid in peer_ids)
     ints = tuple(int.from_bytes(pid, "big") for pid in peer_ids)
-    return tuple(peer_ids), ints, rows
+    table = np.array(rows, dtype=np.intp)
+    keys.flags.writeable = table.flags.writeable = False
+    return tuple(peer_ids), ints, rows, keys, table
+
+
+def _count_nearer(keys: np.ndarray, targets: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """For each target key, how many of keys lie at XOR distance below its
+    bound, 256 targets at a time so the distance block stays small."""
+    counts = np.zeros(len(targets), dtype=np.intp)
+    for lo in range(0, len(targets), 256):
+        block = (keys ^ targets[lo : lo + 256, None]) < bounds[lo : lo + 256, None]
+        counts[lo : lo + 256] = block.sum(axis=1)
+    return counts
 
 
 def backend_assignment(num_peers: int, num_backends: int) -> list[int]:
@@ -155,7 +180,9 @@ class Network:
     def __init__(self, config: SimConfig):
         self.config = config
         width = clamp_view_size(config.view_size, config.num_peers)
-        ids, self._ints, self._rows = _view_rows(config.num_peers, config.seed, width)
+        ids, self._ints, self._rows, self._keys, self._table = _view_rows(
+            config.num_peers, config.seed, width
+        )
         self.peer_ids = list(ids)
         self.peer_index = {pid: i for i, pid in enumerate(ids)}
         self.stores: dict[PeerId, dict[Address, bytes]] = {pid: {} for pid in ids}
@@ -166,36 +193,45 @@ class Network:
     # -- routing ---------------------------------------------------------
     #
     # Lookups run in peer-index space: peer i has id peer_ids[i], int
-    # _ints[i] and view members _rows[i], and dead[i] flags it failed.
+    # _ints[i], distance key _keys[i] and view members _rows[i], the same
+    # peers as row i of _table, and dead[i] flags it failed. Routes toward
+    # many addresses are walked at once, one matrix column per step.
 
-    def _dead(self) -> list[bool]:
+    def _dead(self) -> np.ndarray:
         """Each peer's failed flag, by peer index."""
         failed = self.failed
-        return [pid in failed for pid in self.peer_ids]
+        return np.array([pid in failed for pid in self.peer_ids], dtype=bool)
 
-    def _route(self, i: int, t: int, dead: list[bool]) -> list[int]:
-        """Greedy route from peer i toward target int t over peers not flagged
-        in dead, as peer indices. Every hop strictly decreases XOR distance;
-        the walk stops at a local minimum."""
-        ints, rows = self._ints, self._rows
-        path = [i]
-        best_d = t ^ ints[i]
+    def _walk(self, entry: int, targets: np.ndarray, dead: np.ndarray) -> np.ndarray:
+        """Greedy routes from peer entry toward each target key over peers not
+        flagged in dead, as peer indices, one row per target. Every hop
+        strictly decreases XOR distance; a walk stops at a local minimum, and
+        its row repeats that peer up to the last column."""
+        keys, at = self._keys, np.full(len(targets), entry, dtype=np.intp)
+        rows, steps = np.arange(len(targets)), [at]
         while True:
-            best = -1
-            for j in rows[i]:
-                d = t ^ ints[j]
-                if d < best_d and not dead[j]:
-                    best, best_d = j, d
-            if best < 0:
-                return path
-            i = best
-            path.append(i)
+            members = self._table[at]
+            d = keys[members] ^ targets[:, None]
+            d[dead[members]] = np.iinfo(np.uint64).max
+            best = d.argmin(axis=1)
+            moved = d[rows, best] < keys[at] ^ targets
+            if not moved.any():
+                return np.column_stack(steps)
+            at = np.where(moved, members[rows, best], at)
+            steps.append(at)
+
+    def _neighbourhoods(self, targets: np.ndarray, ends: np.ndarray) -> np.ndarray:
+        """responsible_peers over indices, one row per target key: the ns
+        peers nearest it among its terminal peer and the terminal's view
+        members, nearest first."""
+        candidates = np.column_stack([ends, self._table[ends]])
+        order = np.argsort(self._keys[candidates] ^ targets[:, None], axis=1)
+        return np.take_along_axis(candidates, order[:, : self.config.ns], axis=1)
 
     def _neighbourhood(self, a: int, i: int) -> list[int]:
-        """responsible_peers over indices: the ns peers nearest address int a
-        among peer i and its view members, nearest first."""
-        ints = self._ints
-        return sorted((i, *self._rows[i]), key=lambda j: a ^ ints[j])[: self.config.ns]
+        """_neighbourhoods for the one address int a and terminal peer i."""
+        ends = np.array([i], dtype=np.intp)
+        return self._neighbourhoods(np.array([a >> 192], dtype=np.uint64), ends)[0].tolist()
 
     @property
     def views(self) -> Mapping[PeerId, RoutingView]:
@@ -213,70 +249,93 @@ class Network:
         i = self.peer_index.get(entry)
         if i is None:
             raise ValueError("unknown entry peer")
-        path = self._route(i, int.from_bytes(target, "big"), self._dead())
-        return [self.peer_ids[j] for j in path]
+        path = self._walk(i, _distance_keys([target]), self._dead())[0]
+        return [self.peer_ids[j] for j in dict.fromkeys(path.tolist())]
 
     def _lookup_index(self) -> LookupIndex:
-        """Every live peer's id as an int, ascending, and each address the
-        live peers hold mapped to its live holders. Retrieval never writes a
-        store or changes failures, so one index serves a whole retrieve call."""
-        failed = self.failed
-        live = sorted(n for pid, n in zip(self.peer_ids, self._ints) if pid not in failed)
-        return live, holders(self.stores, skip=failed)
+        """Every live peer's distance key, and each address the live peers
+        hold mapped to its live holders. Retrieval never writes a store or
+        changes failures, so one index serves a whole retrieve call."""
+        return self._keys[~self._dead()], holders(self.stores, skip=self.failed)
 
     def _locate(
         self,
         entry: int,
         addr: Address,
-        dead: list[bool],
+        dead: np.ndarray,
         index: Callable[[], LookupIndex],
     ) -> tuple[bytes | None, int]:
-        """Find a live holder of addr from peer index entry, returning
-        (payload, peers probed). dead flags the failed peers by index.
+        """_locate_many of the one address addr."""
+        return self._locate_many(entry, [addr], dead, index)[0]
 
-        Probes the requester, the greedy path, the terminal neighborhood,
-        then any remaining live peers by ascending distance; the fetch only
-        misses when no live peer holds the chunk at all. The requester costs
-        no hop. Path peers after the requester are live and distinct, so
-        only the neighbourhood needs the seen test. index returns
-        _lookup_index's result; it is called only by the last phase.
+    def _locate_many(
+        self,
+        entry: int,
+        addrs: list[Address],
+        dead: np.ndarray,
+        index: Callable[[], LookupIndex],
+    ) -> list[tuple[bytes | None, int]]:
+        """Find a live holder of each address from peer index entry, returning
+        (payload, peers probed) per address. dead flags the failed peers by
+        index; index returns _lookup_index's result.
+
+        Each lookup probes the requester, the greedy path, the terminal
+        neighborhood, then any remaining live peers by ascending distance; it
+        only misses when no live peer holds the chunk at all. The requester
+        costs no hop. Path peers after the requester are live and distinct,
+        so only the neighbourhood needs the seen test, against the path. The
+        probes up to the neighbourhood are one matrix, checked against the
+        live holders.
 
         The last phase is counted rather than walked. Every peer probed so
-        far missed, so the walk would end at the live holder nearest addr
-        after probing each unseen live peer nearer than it (distances to one
-        address are distinct), or probe every unseen live peer and miss when
-        no live peer holds addr. count_nearer bisects the sorted live ints
-        for the first count.
+        far missed, so the walk would end at the live holder nearest the
+        address after probing each unseen live peer nearer than it (distances
+        to one address are distinct), or probe every live peer but the
+        requester and miss when no live peer holds the address.
         """
-        ids, stores = self.peer_ids, self.stores
-        if not dead[entry]:
-            payload = stores[ids[entry]].get(addr)
-            if payload is not None:
-                return payload, 0
-        a = int.from_bytes(addr, "big")
-        path = self._route(entry, a, dead)
-        probes = 0
-        for i in path[1:]:
-            probes += 1
-            payload = stores[ids[i]].get(addr)
-            if payload is not None:
-                return payload, probes
-        seen = set(path) if not dead[entry] else set(path[1:])
-        for i in self._neighbourhood(a, path[-1]):
-            if i not in seen and not dead[i]:
-                seen.add(i)
-                probes += 1
-                payload = stores[ids[i]].get(addr)
-                if payload is not None:
-                    return payload, probes
         live, held = index()
-        found = held.get(addr)
-        if not found:
-            return None, probes + len(live) - len(seen)
-        ints, at = self._ints, self.peer_index
-        d, nearest = min((a ^ ints[at[pid]], pid) for pid in found)
-        nearer = count_nearer(live, a, d) - len([i for i in seen if a ^ ints[i] < d])
-        return stores[nearest][addr], probes + nearer + 1
+        keys, n, at = self._keys, len(self.peer_ids), self.peer_index
+        targets, rows = _distance_keys(addrs), np.arange(len(addrs))
+        # each live holder as an (address row, peer) pair
+        hc, hp = np.array(
+            [(c, at[pid]) for c, addr in enumerate(addrs) for pid in held.get(addr, ())],
+            dtype=np.intp,
+        ).reshape(-1, 2).T
+        path = self._walk(entry, targets, dead)
+        hood = self._neighbourhoods(targets, path[:, -1])
+        # each row's probes in order: a live requester, each step of the path
+        # and each live neighbour off the path
+        order = np.hstack([path, hood])
+        probed = np.hstack([
+            np.full((len(addrs), 1), not dead[entry]),
+            path[:, 1:] != path[:, :-1],
+            ~dead[hood] & (hood[:, :, None] != path[:, None, :]).all(axis=2),
+        ])
+        spent = np.cumsum(probed, axis=1) - probed[:, :1]  # the requester costs no hop
+        hit = probed & np.isin(rows[:, None] * n + order, hc * n + hp)
+        first = hit.argmax(axis=1)
+        answer = np.where(hit[rows, first], order[rows, first], -1)
+        probes = spent[rows, first]
+
+        # the last phase: each address's nearest live holder, if any
+        hd = targets[hc] ^ keys[hp]
+        by = np.lexsort((hd, hc))
+        near = by[np.flatnonzero(np.diff(hc[by], prepend=-1))]  # each row's first
+        nearest, bound = np.full(len(addrs), -1), np.zeros(len(addrs), dtype=np.uint64)
+        nearest[hc[near]], bound[hc[near]] = hp[near], hd[near]
+        lost = (answer < 0) & (nearest < 0)
+        probes[lost] = len(live) - probed[lost, 0]
+        reach = (answer < 0) & (nearest >= 0)
+        t, d = targets[reach], bound[reach]
+        seen = (probed[reach] & ((keys[order[reach]] ^ t[:, None]) < d[:, None])).sum(axis=1)
+        probes[reach] = spent[reach, -1] + _count_nearer(live, t, d) - seen + 1
+        answer[reach] = nearest[reach]
+
+        stores, ids = self.stores, self.peer_ids
+        return [
+            (stores[ids[p]][addr] if p >= 0 else None, k)
+            for p, addr, k in zip(answer.tolist(), addrs, probes.tolist())
+        ]
 
     # -- upload / retrieve -------------------------------------------------
 
@@ -305,14 +364,15 @@ class Network:
         draw = derive_rng("upload-entry", self.config.seed, manifest.root)
         entry = draw.randrange(len(self.peer_ids))
         ids, stores, dead = self.peer_ids, self.stores, self._dead()
-        for addr, payload in chunks.items():
-            a = int.from_bytes(addr, "big")
-            path = self._route(entry, a, dead)
-            for i in path:
+        targets = _distance_keys(chunks)
+        path = self._walk(entry, targets, dead)
+        hood = self._neighbourhoods(targets, path[:, -1])
+        # the path, then the live neighbourhood: a failed neighbour gives way
+        # to the entry, which the path wrote already
+        writes = np.hstack([path, np.where(dead[hood], path[:, :1], hood)])
+        for (addr, payload), peers in zip(chunks.items(), writes.tolist()):
+            for i in peers:
                 stores[ids[i]][addr] = payload
-            for i in self._neighbourhood(a, path[-1]):
-                if not dead[i]:
-                    stores[ids[i]][addr] = payload
         if self.sync_mode == SYNC_FULL:
             self._pull_round(chunks)
         return manifest
@@ -352,13 +412,20 @@ class Network:
         if from_peer in self.failed:
             stats.error = "entry peer is failed"
             return None, stats
-        # built by the first lookup that reaches the last phase, if any; on a
-        # network that was never normalised most retrievals need none
         index = functools.cache(self._lookup_index)
         entry, dead = self.peer_index[from_peer], self._dead()
 
+        @functools.cache
+        def located() -> dict[Address, tuple[bytes | None, int]]:
+            listed = [manifest.root, *(a for level in manifest.levels for a in level)]
+            listed += [a for group in manifest.groups for a in group.parity_addresses]
+            addrs = list(dict.fromkeys(listed))
+            return dict(zip(addrs, self._locate_many(entry, addrs, dead, index)))
+
         def fetch(addr: Address) -> bytes | None:
-            payload, probes = self._locate(entry, addr, dead, index)
+            # every listed address is located in one pass, on the first fetch;
+            # an address the manifest does not list gets a lookup of its own
+            payload, probes = located().get(addr) or self._locate(entry, addr, dead, index)
             stats.hops += probes
             if payload is not None:
                 stats.bytes_fetched += len(payload)

@@ -13,7 +13,6 @@ average, which is what spreads replica counts apart.
 from __future__ import annotations
 
 import warnings
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -24,8 +23,6 @@ PeerId = bytes
 # candidate pool sizing for view construction
 _WELL_KNOWN_COUNT = 8
 _SAMPLE_FACTOR = 3
-# count_nearer compares ids one by one once its range is this small
-_DIRECT_COUNT = 8
 
 
 def xor_distance(a: bytes, b: bytes) -> int:
@@ -52,38 +49,6 @@ def nearest_peers(target: bytes, candidates, m: int) -> list[PeerId]:
     t = int.from_bytes(target, "big")
     pool.sort(key=lambda p: t ^ int.from_bytes(p, "big"))
     return pool[:m]
-
-
-def count_nearer(ordered: list[int], target: int, d: int) -> int:
-    """How many ids in ordered, ascending non-negative ints, lie at XOR
-    distance below d from target.
-
-    x ^ target < d exactly when x agrees with target ^ d above some bit
-    where d is set and agrees with target at that bit. Among sorted ids each
-    such set is one contiguous range, so the walk follows the range of ids
-    sharing the top bits of target ^ d, bisecting once per bit and adding
-    the sibling range at every set bit of d. When d is the distance to an id
-    in ordered, that id matches every bit and the range never empties, so
-    once it is small its ids are compared directly instead of walking the
-    remaining bits.
-    """
-    m = target ^ d
-    lo, hi = 0, len(ordered)
-    count = 0
-    top = ordered[-1] if ordered else 0
-    bit = max(target.bit_length(), d.bit_length(), top.bit_length())
-    while hi - lo > _DIRECT_COUNT and bit > 0:
-        bit -= 1
-        split = bisect_left(ordered, (m >> bit | 1) << bit, lo, hi)
-        if m >> bit & 1:
-            if d >> bit & 1:
-                count += split - lo
-            lo = split
-        else:
-            if d >> bit & 1:
-                count += hi - split
-            hi = split
-    return count + len([x for x in ordered[lo:hi] if x ^ target < d])
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@ import re
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -107,6 +108,30 @@ class TestExitCodes:
             "--peers", 12, "--seed", 3, "--view-size", 6, "--ns", 4, "--backends", 29,
         )
         assert code == EX_OK, err
+
+    def test_upload_to_existing_state_keeps_its_sync_mode(self, tmp_path):
+        """An upload without --no-sync onto a no_sync state stores as no_sync
+        does, with no pull round, and leaves the state in no_sync; --no-sync
+        onto a full-sync state switches it to no_sync, as deletechunks does."""
+        files = [tmp_path / f"{i}.bin" for i in range(2)]
+        for i, path in enumerate(files):
+            path.write_bytes(seeded_bytes(20_000, "cli-sync", i))
+        full = SimConfig(num_peers=12, seed=3, view_size=6)
+        for first, second in (("--no-sync", None), (None, "--no-sync")):
+            state_dir = tmp_path / f"net-{first}"
+            for path, flag in zip(files, (first, second)):
+                code, _, err = cli(
+                    "upload", "--file", path, "--state", state_dir,
+                    "--peers", 12, "--seed", 3, "--view-size", 6, *([flag] if flag else []),
+                )
+                assert code == EX_OK, err
+            saved = load_snapshot(state_dir)
+            assert saved.config.sync_mode == "no_sync"
+            expected = spawn_network(replace(full, sync_mode="no_sync") if first else full)
+            expected.upload(files[0].read_bytes())
+            expected.sync_mode = "no_sync"
+            expected.upload(files[1].read_bytes())
+            assert saved.stores == expected.stores
 
     def test_k_without_n(self, tmp_path, state):
         code, _, err = cli(

@@ -1,28 +1,37 @@
 """The counted last lookup phase and the index-sampled views against the
 sorted walk and the copy-per-peer views they replace, kept here as
-reference implementations; the bisected count against a direct count; the
-per-config view cache against build_views; and routing, neighbourhoods and
-the pull round over the shared index rows against the same walks over
-build_views' frozenset views; and lookups in peer-index space in the cases
-they treat apart: holders on the path, failed peers in the neighbourhood or
-as the requester, neighbourhoods wider than a view, and two or three peers."""
+reference implementations; the array count over distance keys against a
+direct count; the per-config view cache against build_views; and routing,
+neighbourhoods and the pull round over the shared index rows against the
+same walks over build_views' frozenset views; and lookups in peer-index
+space in the cases they treat apart: holders on the path, failed peers in
+the neighbourhood or as the requester, neighbourhoods wider than a view,
+and two or three peers."""
 
 import functools
 import random
 import warnings
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from swarmsim.chunker import ChunkParams, build_tree, split_file
 from swarmsim.codec import CodingParams, encode_tree
 from swarmsim.harness import ExperimentConfig, prepare
-from swarmsim.netsim import SYNC_FULL, SYNC_NONE, Network, SimConfig, _view_rows, spawn_network
+from swarmsim.netsim import (
+    SYNC_FULL,
+    SYNC_NONE,
+    Network,
+    SimConfig,
+    _count_nearer,
+    _view_rows,
+    spawn_network,
+)
 from swarmsim.overlay import (
     RoutingView,
     build_views,
-    count_nearer,
     make_peer_ids,
     nearest_peers,
     responsible_peers,
@@ -236,44 +245,66 @@ def direct_count(live, a, d):
     return len([x for x in live if a ^ x < d])
 
 
+def keys_of(ints, bits):
+    """Distance keys of ints of the given width: ints of up to 64 bits are
+    their own keys, wider ones keep their top 64 bits."""
+    return np.array([x >> max(bits - 64, 0) for x in ints], dtype=np.uint64)
+
+
+def array_count(live, a, d, bits):
+    """_count_nearer for one target, over keys. Exact when live ids differ in
+    their top 64 bits and d is a distance to one of them or a multiple of
+    2 ** (bits - 64), as every bound the last lookup phase passes is."""
+    return int(_count_nearer(keys_of(live, bits), keys_of([a], bits), keys_of([d], bits))[0])
+
+
 class TestCountNearer:
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_matches_the_direct_count(self, data):
-        bits = data.draw(st.sampled_from([8, 16, 256]))
+        """Ids of up to 64 bits are their own keys, so every bound is exact;
+        several targets go in one call."""
+        bits = data.draw(st.sampled_from([8, 16, 64]))
         ids = st.integers(0, 2**bits - 1)
         live = sorted(data.draw(st.sets(ids, max_size=120)))
-        a = data.draw(ids)
-        d = data.draw(
-            st.one_of(
-                st.just(0),
-                ids,
-                st.sampled_from(live).map(lambda x: a ^ x) if live else st.just(1),
+        targets, bounds = [], []
+        for _ in range(data.draw(st.integers(1, 8))):
+            a = data.draw(ids)
+            d = data.draw(
+                st.one_of(
+                    st.just(0),
+                    ids,
+                    st.sampled_from(live).map(lambda x: a ^ x) if live else st.just(1),
+                )
             )
-        )
-        assert count_nearer(live, a, d) == direct_count(live, a, d)
+            targets.append(a)
+            bounds.append(d)
+        got = _count_nearer(keys_of(live, bits), keys_of(targets, bits), keys_of(bounds, bits))
+        assert got.tolist() == [direct_count(live, a, d) for a, d in zip(targets, bounds)]
 
     @pytest.mark.parametrize("bits", [8, 16, 256])
     def test_edge_cases(self, bits):
         rng = random.Random(bits)
         live = sorted({rng.getrandbits(bits) for _ in range(300)})
         a = rng.getrandbits(bits)
-        assert count_nearer([], a, 0) == count_nearer([], a, 2**bits - 1) == 0
-        assert count_nearer(live, a, 0) == 0
-        assert count_nearer(live, a, 2**bits) == len(live)
+        top = (2**64 - 1) << max(bits - 64, 0)  # the largest bound a key holds
+        assert array_count([], a, 0, bits) == array_count([], a, top, bits) == 0
+        assert array_count(live, a, 0, bits) == 0
+        assert array_count(live, a, top, bits) == direct_count(live, a, top)
         for x in live:  # d from every holder, the target itself included
             for target in (a, x):
                 d = target ^ x
-                assert count_nearer(live, target, d) == direct_count(live, target, d)
+                assert array_count(live, target, d, bits) == direct_count(live, target, d)
 
     def test_450_live_256_bit_ids(self):
-        """450 live 256-bit ids, as in a 500-peer sweep at 10% failed."""
+        """450 live 256-bit ids, as in a 500-peer sweep at 10% failed, and 500
+        targets in one call, so the count runs in two blocks."""
         rng = random.Random(7)
         live = sorted(rng.getrandbits(256) for _ in range(450))
-        for _ in range(500):
-            a = rng.getrandbits(256)
-            d = a ^ rng.choice(live)
-            assert count_nearer(live, a, d) == direct_count(live, a, d)
+        targets = [rng.getrandbits(256) for _ in range(500)]
+        bounds = [a ^ rng.choice(live) for a in targets]
+        got = _count_nearer(keys_of(live, 256), keys_of(targets, 256), keys_of(bounds, 256))
+        assert got.tolist() == [direct_count(live, a, d) for a, d in zip(targets, bounds)]
 
 
 # -- views --------------------------------------------------------------------
