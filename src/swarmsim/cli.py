@@ -288,17 +288,19 @@ def _cmd_experiment(args, stdout) -> int:
 
 
 def _cmd_stats(args, stdout) -> int:
+    if args.placement_out and not args.manifest:
+        raise UsageError("--placement-out needs at least one --manifest")
+    if args.manifest and not args.placement_out:
+        raise UsageError("--manifest needs --placement-out")
     network = _load_network(args.state)
     report = census(network)
-    if args.manifest and args.placement_out:
+    if args.manifest:
         files = {}
         for path in args.manifest:
             manifest = parse_manifest_text(Path(path).read_text())
             files[manifest.root.hex()] = listchunks(manifest)
         placement = placement_from_network(network, files)
         Path(args.placement_out).write_text(placement_to_text(placement))
-    elif args.placement_out:
-        raise UsageError("--placement-out needs at least one --manifest")
     if args.out:
         for path in emit_census(report, args.out):
             print(str(path), file=stdout)

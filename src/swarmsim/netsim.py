@@ -47,6 +47,7 @@ from .overlay import (
     RoutingView,
     build_views,
     clamp_view_size,
+    distance_keys,
     make_peer_ids,
 )
 from .overlay import responsible_peers  # not called here; perfbench's tracer patches it
@@ -115,18 +116,8 @@ class Snapshot:
 
 # live peers' distance keys, and address -> live holders
 LookupIndex = tuple[np.ndarray, dict[Address, list[PeerId]]]
-# peer ids, the same ids as ints, each peer's view members as peer indices,
-# and as arrays: each id's distance key and the P x w view member matrix
-ViewRows = tuple[
-    tuple[PeerId, ...], tuple[int, ...], tuple[tuple[int, ...], ...], np.ndarray, np.ndarray
-]
-
-
-def _distance_keys(ids) -> np.ndarray:
-    """The top 64 bits of each id or address as uint64. Distances are only
-    compared between two peers' distances to one address, and peers differ
-    in their top 64 bits, so the keys decide every such comparison."""
-    return np.frombuffer(b"".join(x[:8] for x in ids), dtype=">u8").astype(np.uint64)
+# peer ids, each id's distance key, and build_views' P x w view table
+ViewRows = tuple[tuple[PeerId, ...], np.ndarray, np.ndarray]
 
 
 @functools.lru_cache(maxsize=16)
@@ -136,16 +127,9 @@ def _view_rows(num_peers: int, seed: int, view_size: int) -> ViewRows:
     a tuple or a read-only array. view_size must already be clamped, so
     every view has exactly view_size members."""
     peer_ids = make_peer_ids(num_peers, seed)
-    keys = _distance_keys(peer_ids)
-    if len(set(keys.tolist())) != num_peers:
-        raise ValueError("two peer ids share their top 64 bits; change the seed")
-    index = {pid: i for i, pid in enumerate(peer_ids)}
-    views = build_views(peer_ids, view_size, seed)
-    rows = tuple(tuple(index[q] for q in views[pid].known) for pid in peer_ids)
-    ints = tuple(int.from_bytes(pid, "big") for pid in peer_ids)
-    table = np.array(rows, dtype=np.intp)
+    keys, table = distance_keys(peer_ids), build_views(peer_ids, view_size, seed)
     keys.flags.writeable = table.flags.writeable = False
-    return tuple(peer_ids), ints, rows, keys, table
+    return tuple(peer_ids), keys, table
 
 
 def _count_nearer(keys: np.ndarray, targets: np.ndarray, bounds: np.ndarray) -> np.ndarray:
@@ -180,9 +164,7 @@ class Network:
     def __init__(self, config: SimConfig):
         self.config = config
         width = clamp_view_size(config.view_size, config.num_peers)
-        ids, self._ints, self._rows, self._keys, self._table = _view_rows(
-            config.num_peers, config.seed, width
-        )
+        ids, self._keys, self._table = _view_rows(config.num_peers, config.seed, width)
         self.peer_ids = list(ids)
         self.peer_index = {pid: i for i, pid in enumerate(ids)}
         self.stores: dict[PeerId, dict[Address, bytes]] = {pid: {} for pid in ids}
@@ -192,10 +174,10 @@ class Network:
 
     # -- routing ---------------------------------------------------------
     #
-    # Lookups run in peer-index space: peer i has id peer_ids[i], int
-    # _ints[i], distance key _keys[i] and view members _rows[i], the same
-    # peers as row i of _table, and dead[i] flags it failed. Routes toward
-    # many addresses are walked at once, one matrix column per step.
+    # Lookups run in peer-index space: peer i has id peer_ids[i], distance
+    # key _keys[i] and its view members, nearest first, in row i of _table,
+    # and dead[i] flags it failed. Routes toward many addresses are walked
+    # at once, one matrix column per step.
 
     def _dead(self) -> np.ndarray:
         """Each peer's failed flag, by peer index."""
@@ -228,18 +210,13 @@ class Network:
         order = np.argsort(self._keys[candidates] ^ targets[:, None], axis=1)
         return np.take_along_axis(candidates, order[:, : self.config.ns], axis=1)
 
-    def _neighbourhood(self, a: int, i: int) -> list[int]:
-        """_neighbourhoods for the one address int a and terminal peer i."""
-        ends = np.array([i], dtype=np.intp)
-        return self._neighbourhoods(np.array([a >> 192], dtype=np.uint64), ends)[0].tolist()
-
     @property
     def views(self) -> Mapping[PeerId, RoutingView]:
-        """build_views' result for this config, read-only, built on first use."""
+        """Each peer's RoutingView from the view table, read-only, built on first use."""
         if self._views is None:
             self._views = MappingProxyType({
                 pid: RoutingView(owner=pid, known=frozenset([self.peer_ids[j] for j in row]))
-                for pid, row in zip(self.peer_ids, self._rows)
+                for pid, row in zip(self.peer_ids, self._table.tolist())
             })
         return self._views
 
@@ -249,7 +226,7 @@ class Network:
         i = self.peer_index.get(entry)
         if i is None:
             raise ValueError("unknown entry peer")
-        path = self._walk(i, _distance_keys([target]), self._dead())[0]
+        path = self._walk(i, distance_keys([target]), self._dead())[0]
         return [self.peer_ids[j] for j in dict.fromkeys(path.tolist())]
 
     def _lookup_index(self) -> LookupIndex:
@@ -295,7 +272,7 @@ class Network:
         """
         live, held = index()
         keys, n, at = self._keys, len(self.peer_ids), self.peer_index
-        targets, rows = _distance_keys(addrs), np.arange(len(addrs))
+        targets, rows = distance_keys(addrs), np.arange(len(addrs))
         # each live holder as an (address row, peer) pair
         hc, hp = np.array(
             [(c, at[pid]) for c, addr in enumerate(addrs) for pid in held.get(addr, ())],
@@ -364,7 +341,7 @@ class Network:
         draw = derive_rng("upload-entry", self.config.seed, manifest.root)
         entry = draw.randrange(len(self.peer_ids))
         ids, stores, dead = self.peer_ids, self.stores, self._dead()
-        targets = _distance_keys(chunks)
+        targets = distance_keys(chunks)
         path = self._walk(entry, targets, dead)
         hood = self._neighbourhoods(targets, path[:, -1])
         # the path, then the live neighbourhood: a failed neighbour gives way
@@ -381,17 +358,19 @@ class Network:
         """Every live peer, in peer order, adopts in chunks order each chunk
         that fewer than ns of its view members are closer to. By the top-bit
         rule each member is one (byte, bit mask, wanted bit) test on the
-        addresses, bytes least significant first; peers go one at a time, so
-        no array outgrows chunks x view."""
+        addresses; peers differ in their top 64 bits, so the tests read only
+        the distance keys, the addresses' first 8 bytes, least significant
+        first. Peers go one at a time, so no array outgrows chunks x view."""
         items = list(chunks.items())
-        addrs = np.frombuffer(b"".join(chunks), dtype=np.uint8).reshape(len(items), -1)[:, ::-1]
-        for i, pid in enumerate(self.peer_ids):
+        addrs = distance_keys(chunks).astype("<u8").view(np.uint8).reshape(-1, 8)
+        keys = self._keys.tolist()
+        for i, (pid, row) in enumerate(zip(self.peer_ids, self._table.tolist())):
             if pid in self.failed:
                 continue
             tests = []
-            for j in self._rows[i]:
-                top = (self._ints[j] ^ self._ints[i]).bit_length() - 1
-                tests.append((top // 8, 1 << top % 8, (self._ints[j] >> top & 1) << top % 8))
+            for j in row:
+                top = (keys[j] ^ keys[i]).bit_length() - 1
+                tests.append((top // 8, 1 << top % 8, (keys[j] >> top & 1) << top % 8))
             byte, mask, want = np.array(tests, dtype=np.uint8).T
             closer = ((addrs[:, byte] & mask) == want).sum(axis=1)
             adopted = np.flatnonzero(closer < self.config.ns).tolist()
@@ -503,7 +482,7 @@ class Network:
                 f"min_degree {min_degree} cannot be met by "
                 f"{len(self.peer_ids)} peers"
             )
-        degrees = [len(row) for row in self._rows]
+        degrees = [self._table.shape[1]] * len(self.peer_ids)
         if min(degrees) < min_degree:
             raise ConnectivityError(
                 f"connectivity below min_degree {min_degree}: "

@@ -16,6 +16,8 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Iterable
 
+import numpy as np
+
 from .seeds import derive_bytes, derive_rng
 
 PeerId = bytes
@@ -83,42 +85,53 @@ def clamp_view_size(view_size: int, n: int) -> int:
     return view_size
 
 
-def build_views(
-    peer_ids: list[PeerId], view_size: int, seed: int
-) -> dict[PeerId, RoutingView]:
-    """Build every peer's routing view from a seeded subsample.
+def distance_keys(ids) -> np.ndarray:
+    """The top 64 bits of each id or address as uint64. Distances are only
+    compared between two peers' distances to one address, and peers differ
+    in their top 64 bits, so the keys decide every such comparison."""
+    return np.frombuffer(b"".join(x[:8] for x in ids), dtype=">u8").astype(np.uint64)
+
+
+def build_views(peer_ids: list[PeerId], view_size: int, seed: int) -> np.ndarray:
+    """Build every peer's routing view from a seeded subsample, as the
+    P x w table of peer indices whose row i is peer i's view, nearest first.
 
     A peer's view holds its view_size nearest peers among a candidate pool
     of well-known peers plus a per-peer uniform sample. The view never
     contains the owner. view_size is clamped to the peer count minus one,
-    with a warning. The per-peer sample draws indices into the sorted ids
-    with the owner's position skipped, so no per-peer copy of the ids is
-    made.
+    with a warning. The per-peer sample draws positions among the ids in
+    id order with the owner's position skipped. Ids must be distinct in
+    their top 64 bits, so the distance keys order them and every pool.
     """
     n = len(peer_ids)
     if n < 2:
         raise ValueError("need at least two peers to build views")
     view_size = clamp_view_size(view_size, n)
-
-    ordered = sorted(peer_ids)
-    position = {pid: i for i, pid in enumerate(ordered)}
-    if len(position) != n:
+    if len(set(peer_ids)) != n:
         raise ValueError("peer ids must be distinct")
-    shuffled = list(ordered)
+    if {len(pid) for pid in peer_ids} != {len(peer_ids[0])} or len(peer_ids[0]) < 8:
+        raise ValueError("peer ids must share one length of at least 8 bytes")
+    keys = distance_keys(peer_ids)
+    if len(np.unique(keys)) != n:
+        raise ValueError("two peer ids share their top 64 bits; change the seed")
+
+    ordered = np.argsort(keys)  # peer indices in id order
+    rank = np.argsort(ordered)  # each peer's position in id order
+    shuffled = ordered.tolist()
     derive_rng("well-known", seed).shuffle(shuffled)
-    well_known = set(shuffled[: min(_WELL_KNOWN_COUNT, n)])
+    well_known = shuffled[: min(_WELL_KNOWN_COUNT, n)]
 
     sample_size = min(n - 1, _SAMPLE_FACTOR * view_size)
-    views: dict[PeerId, RoutingView] = {}
-    for pid in peer_ids:
-        owner = position[pid]
-        rng = derive_rng("view", seed, pid)
-        picks = rng.sample(range(n - 1), sample_size)
-        pool = {ordered[j + (j >= owner)] for j in picks}
-        pool.update(q for q in well_known if q != pid)
-        members = nearest_peers(pid, pool, min(view_size, len(pool)))
-        views[pid] = RoutingView(owner=pid, known=frozenset(members))
-    return views
+    picks = np.array([derive_rng("view", seed, pid).sample(range(n - 1), sample_size)
+                      for pid in peer_ids])
+    sampled = ordered[picks + (picks >= rank[:, None])]
+    # each pool is the sample plus the well-known peers neither its owner
+    # nor sampled already; view_size <= sample_size, so it never runs short
+    pool = np.hstack([sampled, np.tile(well_known, (n, 1))])
+    fresh = [(sampled != w).all(axis=1) & (np.arange(n) != w) for w in well_known]
+    valid = np.column_stack([np.ones_like(sampled, dtype=bool), *fresh])
+    nearest = np.lexsort((keys[pool] ^ keys[:, None], ~valid))[:, :view_size]
+    return np.take_along_axis(pool, nearest, axis=1)
 
 
 def responsible_peers(chunk: bytes, owner: PeerId, members: Iterable[PeerId],

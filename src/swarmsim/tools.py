@@ -455,18 +455,20 @@ def deletechunks(network, entries: Sequence[DeletionEntry]) -> DeleteReport:
 
     Refuses to run unless syncing is off, since peers would otherwise pull
     the deleted chunks straight back. Entries naming a chunk the peer does
-    not hold are counted, not fatal.
+    not hold are counted, not fatal. An entry naming an unknown peer is
+    refused before any replica is deleted.
     """
     if network.sync_mode != SYNC_NONE:
         raise SyncModeError(
             "refusing to delete chunks while syncing is enabled; "
             "switch the network to no_sync first"
         )
+    for pid, _ in entries:
+        if pid not in network.stores:
+            raise ValueError(f"unknown peer {pid.hex()}")
     report = DeleteReport()
     for pid, addr in entries:
-        store = network.stores.get(pid)
-        if store is None:
-            raise ValueError(f"unknown peer {pid.hex()}")
+        store = network.stores[pid]
         if addr in store:
             del store[addr]
             report.applied += 1

@@ -17,7 +17,7 @@ from swarmsim.netsim import SYNC_NONE, Network, SimConfig, _view_rows, spawn_net
 from swarmsim.overlay import make_peer_ids
 from swarmsim.seeds import derive_bytes, seeded_bytes
 from swarmsim.tools import listchunks
-from test_lookup_oracle import normalised, reference_locate
+from test_lookup_oracle import normalised, reference_build_views, reference_locate
 
 
 def located(net, entry, addrs):
@@ -137,10 +137,13 @@ class TestOneLookupPassPerRetrieval:
 
 
 class TestDistanceKeys:
-    def test_keys_and_table_are_read_only_views_of_the_rows(self):
+    def test_keys_and_table_are_read_only_and_match_the_views(self):
         net = spawn_network(SimConfig(num_peers=40, seed=12, view_size=6))
-        assert net._keys.tolist() == [x >> 192 for x in net._ints]
-        assert net._table.tolist() == [list(row) for row in net._rows]
+        assert net._keys.tolist() == [int.from_bytes(pid, "big") >> 192 for pid in net.peer_ids]
+        views = reference_build_views(make_peer_ids(40, 12), 6, 12)
+        assert [{net.peer_ids[j] for j in row} for row in net._table.tolist()] == [
+            views[pid].known for pid in net.peer_ids
+        ]
         assert net._table.dtype == np.intp and net._keys.dtype == np.uint64
         for shared in (net._keys, net._table):
             with pytest.raises(ValueError, match="read-only"):

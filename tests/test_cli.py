@@ -227,6 +227,14 @@ class TestExitCodes:
         assert code == EX_USAGE
         assert "--manifest" in err
 
+    def test_manifest_needs_placement_out(self, tmp_path, state):
+        """A manifest is only read to write a placement map, so without
+        --placement-out it is refused, not ignored."""
+        code, out, err = cli("stats", "--state", state["dir"], "--manifest", state["manifest"])
+        assert code == EX_USAGE
+        assert err.startswith("error: ") and "--placement-out" in err
+        assert out == ""
+
 
 class TestListChunks:
     def test_small_tree_prints_all_addresses_root_first(self, fig_manifest):

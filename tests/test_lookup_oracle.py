@@ -2,16 +2,20 @@
 sorted walk and the copy-per-peer views they replace, kept here as
 reference implementations; the array count over distance keys against a
 direct count; the per-config view cache against build_views; and routing,
-neighbourhoods and the pull round over the shared index rows against the
-same walks over build_views' frozenset views; and lookups in peer-index
+neighbourhoods and the pull round over the shared view table against the
+same walks over the reference frozenset views; and lookups in peer-index
 space in the cases they treat apart: holders on the path, failed peers in
 the neighbourhood or as the requester, neighbourhoods wider than a view,
 and two or three peers."""
 
 import functools
+import os
 import random
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +36,7 @@ from swarmsim.netsim import (
 from swarmsim.overlay import (
     RoutingView,
     build_views,
+    distance_keys,
     make_peer_ids,
     nearest_peers,
     responsible_peers,
@@ -162,6 +167,17 @@ def reference_build_views(peer_ids, view_size, seed):
         members = reference_nearest(pid, pool, min(view_size, len(pool)))
         views[pid] = RoutingView(owner=pid, known=frozenset(members))
     return views
+
+
+def members_of(ids, table):
+    """Each peer's view members as a frozenset of ids, from a table of peer
+    indices whose row i is peer i's view."""
+    return {pid: frozenset(ids[j] for j in row) for pid, row in zip(ids, table.tolist())}
+
+
+def neighbourhood(net, addr, i):
+    """_neighbourhoods for the one address addr and terminal peer index i."""
+    return net._neighbourhoods(distance_keys([addr]), np.array([i]))[0].tolist()
 
 
 # -- lookups ------------------------------------------------------------------
@@ -318,7 +334,9 @@ class TestViews:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             got = build_views(ids, view_size, 9)
-        assert got == reference_build_views(ids, view_size, 9)
+        assert members_of(ids, got) == {
+            pid: view.known for pid, view in reference_build_views(ids, view_size, 9).items()
+        }
 
     def test_duplicate_ids_rejected(self):
         ids = make_peer_ids(5, 1)
@@ -340,21 +358,38 @@ class TestViewsOncePerConfig:
         cfg = SimConfig(num_peers=n, seed=n + 1, view_size=view_size)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            expected = build_views(make_peer_ids(n, n + 1), view_size, n + 1)
+            table = build_views(make_peer_ids(n, n + 1), view_size, n + 1)
             _view_rows.cache_clear()
             nets = [spawn_network(cfg), spawn_network(cfg)]  # a miss, then a hit
+        expected = reference_build_views(make_peer_ids(n, n + 1), view_size, n + 1)
         for net in nets:
             assert net._views is None  # built on first access only
             assert net.views == expected
             assert net.views is net.views
-            assert net._ints == tuple(int.from_bytes(pid, "big") for pid in net.peer_ids)
+            assert np.array_equal(net._table, table)
+            ints = [int.from_bytes(pid, "big") for pid in net.peer_ids]
+            assert net._keys.tolist() == [x >> 192 for x in ints]
             assert {
-                pid: sorted(net._ints[j] for j in row)
-                for pid, row in zip(net.peer_ids, net._rows)
+                pid: sorted(ints[j] for j in row)
+                for pid, row in zip(net.peer_ids, net._table.tolist())
             } == {
                 pid: sorted(int.from_bytes(q, "big") for q in view.known)
                 for pid, view in expected.items()
             }
+
+    def test_table_is_equal_under_every_hash_seed(self):
+        """Rows are ordered by distance, not by iterating a set of ids, so
+        the table's bytes do not follow the string hash."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        script = ("import hashlib; from swarmsim.netsim import _view_rows; "
+                  "print(hashlib.sha256(_view_rows(200, 1, 16)[2].tobytes()).hexdigest())")
+        digests = set()
+        for hashseed in ("0", "1"):
+            env = {**os.environ, "PYTHONHASHSEED": hashseed, "PYTHONPATH": src}
+            done = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, text=True, timeout=120, check=True)
+            digests.add(done.stdout)
+        assert len(digests) == 1
 
     def test_clamp_warning_fires_on_every_spawn(self):
         """Once per spawn; building the views from the rows does not warn."""
@@ -375,10 +410,10 @@ class TestViewsOncePerConfig:
             assert getattr(a, attr) is not getattr(b, attr), attr
         for pid in a.peer_ids:
             assert a.stores[pid] is not b.stores[pid]
-        # the index rows and the ints are shared, and nothing can write them
-        assert a._rows is b._rows and a._ints is b._ints
-        for shared in (a._rows, a._rows[0], a._ints):
-            with pytest.raises(TypeError):
+        # the view table and the keys are shared, and nothing can write them
+        assert a._table is b._table and a._keys is b._keys
+        for shared in (a._table, a._table[0], a._keys):
+            with pytest.raises(ValueError, match="read-only"):
                 shared[0] = 1
         with pytest.raises(TypeError):
             a.views[a.peer_ids[0]] = None
@@ -392,7 +427,7 @@ class TestViewsOncePerConfig:
         c = spawn_network(cfg)
         assert b.views == c.views == expected
         assert c.peer_ids == b.peer_ids == ids
-        assert [len(row) for row in c._rows] == [6] * 40
+        assert c._table.shape == (40, 6)
         assert not any(c.stores.values()) and not any(b.stores.values())
 
 
@@ -400,13 +435,13 @@ class TestViewsOncePerConfig:
 
 
 def oracle_network(n, view_size, fraction, sync_mode=SYNC_FULL):
-    """A spawned network with a seeded share of peers failed, and the views
-    build_views gives for its config."""
+    """A spawned network with a seeded share of peers failed, and the
+    reference views for its config."""
     cfg = SimConfig(num_peers=n, seed=n, view_size=view_size, ns=3, sync_mode=sync_mode)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # view_size >= n is clamped
         net = spawn_network(cfg)
-        views = build_views(make_peer_ids(n, n), view_size, n)
+    views = reference_build_views(make_peer_ids(n, n), view_size, n)
     net.fail_peers(fraction=fraction, seed=5)
     return net, views
 
@@ -427,7 +462,7 @@ class TestRoutingOverIndexRows:
             for target in targets:
                 path = net.route_path(entry, target)
                 assert path == reference_route_path(views, net.failed, entry, target)
-                hood = net._neighbourhood(int.from_bytes(target, "big"), net.peer_index[path[-1]])
+                hood = neighbourhood(net, target, net.peer_index[path[-1]])
                 assert tuple(net.peer_ids[j] for j in hood) == reference_neighbourhood(
                     views, target, path[-1], net.config.ns
                 )
@@ -515,8 +550,7 @@ class TestLookupsInIndexSpace:
         net, _ = lookup_network(80, 6, 5)
         checked = 0
         for entry, addr, path in routed(net, 10):
-            hood = [net.peer_ids[j] for j in net._neighbourhood(
-                int.from_bytes(addr, "big"), net.peer_index[path[-1]])]
+            hood = [net.peer_ids[j] for j in neighbourhood(net, addr, net.peer_index[path[-1]])]
             off_path = [pid for pid in hood if pid not in path]
             if len(off_path) < 2:
                 continue
@@ -548,8 +582,7 @@ class TestLookupsInIndexSpace:
     def test_ns_larger_than_the_view(self):
         """ns=20 over 16-member views: the neighbourhood is the whole view."""
         net, addresses = lookup_network(90, 16, 20)
-        a = int.from_bytes(addresses[0], "big")
-        assert all(len(net._neighbourhood(a, i)) == 17 for i in range(90))
+        assert all(len(neighbourhood(net, addresses[0], i)) == 17 for i in range(90))
         net.fail_peers(fraction=0.3, seed=4)
         entries = net.live_peers()[::7]
         assert_lookups_match(net, addresses + [derive_bytes("absent")], entries)
@@ -577,7 +610,7 @@ class TestLookupsInIndexSpace:
             warnings.simplefilter("ignore")
             net = spawn_network(cfg)
         pid = net.peer_ids[peer % n]
-        hood = net._neighbourhood(int.from_bytes(addr, "big"), peer % n)
+        hood = neighbourhood(net, addr, peer % n)
         assert tuple(net.peer_ids[j] for j in hood) == responsible_peers(
             addr, pid, net.views[pid].known, ns
         )

@@ -1,15 +1,18 @@
-from collections import Counter
+import warnings
 from statistics import median
 
+import numpy as np
 import pytest
 
 from swarmsim.overlay import (
     build_views,
+    distance_keys,
     make_peer_ids,
     nearest_peers,
     responsible_peers,
     xor_distance,
 )
+from test_lookup_oracle import members_of
 
 
 def byte_id(value):
@@ -86,37 +89,51 @@ class TestPeerIds:
 class TestBuildViews:
     def test_deterministic(self):
         ids = make_peer_ids(60, 5)
-        assert build_views(ids, 8, 5) == build_views(ids, 8, 5)
+        assert np.array_equal(build_views(ids, 8, 5), build_views(ids, 8, 5))
 
     def test_view_size_and_no_self(self):
         ids = make_peer_ids(60, 5)
-        views = build_views(ids, 8, 5)
-        for pid, view in views.items():
-            assert view.owner == pid
-            assert len(view.known) == 8
-            assert pid not in view.known
+        table = build_views(ids, 8, 5)
+        assert table.shape == (60, 8) and table.dtype == np.intp
+        for i, row in enumerate(table.tolist()):
+            assert len(set(row)) == 8
+            assert i not in row
+
+    def test_rows_ascend_in_distance_to_their_owner(self):
+        for n, view_size, seed in [(2, 1, 0), (17, 16, 3), (200, 16, 1), (200, 500, 2)]:
+            ids = make_peer_ids(n, seed)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # view_size >= n is clamped
+                table = build_views(ids, view_size, seed)
+            keys = distance_keys(ids)
+            d = keys[table] ^ keys[:, None]
+            assert (d[:, 1:] > d[:, :-1]).all()
+            # the keys order them as the full ids do
+            full = [[int.from_bytes(ids[j], "big") ^ int.from_bytes(pid, "big") for j in row]
+                    for pid, row in zip(ids, table.tolist())]
+            assert full == [sorted(row) for row in full]
 
     def test_clamps_oversized_view_with_warning(self):
         ids = make_peer_ids(5, 1)
         with pytest.warns(UserWarning, match="clamping"):
-            views = build_views(ids, 16, 1)
-        for pid, view in views.items():
-            assert view.known == frozenset(q for q in ids if q != pid)
+            views = members_of(ids, build_views(ids, 16, 1))
+        for pid, members in views.items():
+            assert members == frozenset(q for q in ids if q != pid)
 
     def test_views_diverge_between_peers(self):
         ids = make_peer_ids(200, 0)
-        views = build_views(ids, 16, 0)
-        distinct = {view.known for view in views.values()}
+        views = members_of(ids, build_views(ids, 16, 0))
+        distinct = set(views.values())
         assert len(distinct) > 100
 
     def test_views_are_not_symmetric(self):
         ids = make_peer_ids(200, 0)
-        views = build_views(ids, 16, 0)
+        views = members_of(ids, build_views(ids, 16, 0))
         asymmetric = sum(
             1
-            for pid, view in views.items()
-            for q in view.known
-            if pid not in views[q].known
+            for pid, members in views.items()
+            for q in members
+            if pid not in views[q]
         )
         assert asymmetric > 0
 
@@ -125,24 +142,28 @@ class TestBuildViews:
         # replica counts near their ids
         for seed in (0, 1, 7):
             ids = make_peer_ids(200, seed)
-            views = build_views(ids, 16, seed)
-            indegree = Counter(q for view in views.values() for q in view.known)
-            counts = [indegree.get(pid, 0) for pid in ids]
-            assert max(counts) >= 2 * median(counts)
+            counts = np.bincount(build_views(ids, 16, seed).ravel(), minlength=200)
+            assert max(counts) >= 2 * median(counts.tolist())
 
     def test_too_few_peers_rejected(self):
         with pytest.raises(ValueError):
             build_views(make_peer_ids(1, 0), 4, 0)
 
+    def test_ids_of_unequal_or_short_length_rejected(self):
+        ids = make_peer_ids(10, 0)
+        for bad in ([*ids[:9], ids[9][:31]], [pid[:7] for pid in ids]):
+            with pytest.raises(ValueError, match="one length of at least 8 bytes"):
+                build_views(bad, 4, 0)
+
 
 class TestResponsiblePeers:
     def test_members_are_the_nearest_view_peers(self):
         ids = make_peer_ids(30, 2)
-        views = build_views(ids, 10, 2)
-        view = views[ids[0]]
+        views = members_of(ids, build_views(ids, 10, 2))
+        owner, members = ids[0], views[ids[0]]
         chunk = bytes.fromhex("ab" * 32)
-        hood = responsible_peers(chunk, view.owner, view.known, 4)
-        candidates = set(view.known) | {view.owner}
+        hood = responsible_peers(chunk, owner, members, 4)
+        candidates = set(members) | {owner}
         expected = nearest_peers(chunk, candidates, 4)
         assert hood == tuple(expected)
 
@@ -156,7 +177,7 @@ class TestResponsiblePeers:
 
     def test_different_views_disagree_on_responsibility(self):
         ids = make_peer_ids(200, 0)
-        views = build_views(ids, 16, 0)
+        views = members_of(ids, build_views(ids, 16, 0))
         chunk = bytes.fromhex("cd" * 32)
-        hoods = {responsible_peers(chunk, pid, views[pid].known, 4) for pid in ids}
+        hoods = {responsible_peers(chunk, pid, views[pid], 4) for pid in ids}
         assert len(hoods) > 1

@@ -383,6 +383,19 @@ class TestDeleteChunks:
         with pytest.raises(ValueError, match="unknown peer"):
             deletechunks(net, [(b"\x05" * 32, C1)])
 
+    def test_unknown_peer_deletes_nothing(self):
+        """An unknown peer anywhere in the list is refused before the valid
+        entries ahead of it are applied."""
+        net, manifest = self.network_with_file()
+        net.sync_mode = SYNC_NONE
+        addr = listchunks(manifest)[0]
+        holder = next(p for p in net.peer_ids if addr in net.stores[p])
+        before = net.census_digest()
+        with pytest.raises(ValueError, match="unknown peer"):
+            deletechunks(net, [(holder, addr), (b"\x05" * 32, addr)])
+        assert net.census_digest() == before
+        assert addr in net.stores[holder]
+
     def test_full_pipeline_normalizes(self):
         # 60 kB gives 16 chunks: enough keep slots at target 2 for all 20
         # peers to retain something

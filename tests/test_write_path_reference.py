@@ -32,11 +32,12 @@ def reference_pull_round(self, chunks):
         (addr, payload, int.from_bytes(addr, "big"))
         for addr, payload in chunks.items()
     ]
+    ints = [int.from_bytes(pid, "big") for pid in self.peer_ids]
     for i, pid in enumerate(self.peer_ids):
         if pid in self.failed:
             continue
-        own = self._ints[i]
-        vints = [self._ints[j] for j in self._rows[i]]
+        own = ints[i]
+        vints = [ints[j] for j in self._table[i].tolist()]
         store = self.stores[pid]
         for addr, payload, a in items:
             mine = a ^ own
