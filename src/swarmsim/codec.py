@@ -318,7 +318,9 @@ def repair_retrieve(
     repair, so with nothing missing this behaves like plain reassembly.
     Raises UnrecoverableGroupError when a group has fewer than k' reachable
     symbols, MissingChunkError for an unresolvable ungrouped chunk (the
-    root, or any chunk of a plain file).
+    root, or any chunk of a plain file), and DecodingError for a symbol
+    longer than its group's coding length or a repaired chunk that does
+    not hash to its address.
     """
     lengths = functools.cache(lambda: group_data_lengths(manifest))
     member_of: dict[Address, int] = {}
@@ -340,6 +342,10 @@ def repair_retrieve(
         for pos, addr in enumerate(members):
             payload = lookup(addr)
             if payload is not None:
+                if len(payload) > max(data_lengths):
+                    raise DecodingError(
+                        f"chunk {addr.hex()} is longer than its group's coding length"
+                    )
                 present.append((pos, payload))
                 if len(present) == kk:
                     break

@@ -13,6 +13,7 @@ wall-clock times.
 
 from __future__ import annotations
 
+import functools
 import logging
 from collections import Counter, defaultdict
 from dataclasses import dataclass, fields
@@ -49,6 +50,9 @@ class ExperimentConfig:
     outdir: str = "results"
 
     def __post_init__(self) -> None:
+        # derive_manifests caches by config, so both lists must be hashable
+        for name in ("file_sizes", "fractions"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         if not self.file_sizes:
             raise ValueError("at least one file size is required")
         if any(size < 1 for size in self.file_sizes):
@@ -59,6 +63,11 @@ class ExperimentConfig:
             raise ValueError("at least one failure fraction is required")
         if any(not 0.0 <= f <= 1.0 for f in self.fractions):
             raise ValueError("fractions must lie within [0, 1]")
+        # availability.csv keys its rows by the fraction as :g prints it
+        shown = Counter(f"{f:g}" for f in self.fractions)
+        repeated = [text for text, count in shown.items() if count > 1]
+        if repeated:
+            raise ValueError(f"fraction {repeated[0]} is repeated as availability.csv prints it")
         if self.iterations < 1:
             raise ValueError("iterations must be at least 1")
         if self.min_degree < 1:
@@ -125,9 +134,12 @@ def file_bytes(config: ExperimentConfig, index: int) -> bytes:
     return seeded_bytes(config.file_sizes[index], "file", config.sim.seed, index)
 
 
-def derive_manifests(config: ExperimentConfig) -> list[FileManifest]:
+@functools.lru_cache(maxsize=16)
+def derive_manifests(config: ExperimentConfig) -> tuple[FileManifest, ...]:
     """Rebuild every file's manifest without touching a network; byte-for-byte
-    the manifests upload() produces for the same config."""
+    the manifests upload() produces for the same config. They depend on the
+    config alone, so the result is cached per config and shared by every
+    caller, which must not modify it."""
     manifests: list[FileManifest] = []
     for index in range(len(config.file_sizes)):
         data = file_bytes(config, index)
@@ -135,7 +147,7 @@ def derive_manifests(config: ExperimentConfig) -> list[FileManifest]:
         if config.coding is not None:
             manifest, _ = encode_tree(manifest, chunks, config.coding)
         manifests.append(manifest)
-    return manifests
+    return tuple(manifests)
 
 
 def iteration_seed(seed: int, fraction_index: int, iteration: int) -> int:
@@ -202,7 +214,7 @@ def prepare(network: Network, config: ExperimentConfig) -> PrepareResult:
 
 
 def _file_overheads(
-    snapshot: Snapshot, manifests: list[FileManifest]
+    snapshot: Snapshot, manifests: Iterable[FileManifest]
 ) -> dict[str, float]:
     """Stored bytes over original bytes per file, measured on the snapshot:
     the payloads it holds of the file's level and parity addresses."""
@@ -218,9 +230,7 @@ def _file_overheads(
     return overheads
 
 
-def run_iterations(
-    snapshot: Snapshot, config: ExperimentConfig, manifests: list[FileManifest] | None = None,
-) -> list[AvailabilityResult]:
+def run_iterations(snapshot: Snapshot, config: ExperimentConfig) -> list[AvailabilityResult]:
     """Replay the snapshot under every configured failure fraction.
 
     The views are checked for connectivity once, since restoring keeps
@@ -234,7 +244,7 @@ def run_iterations(
         held, wanted = getattr(snapshot.config, f.name), getattr(config.sim, f.name)
         if held != wanted and f.name != "sync_mode":
             raise SnapshotMismatchError(f"snapshot has {f.name}={held}, config has {wanted}")
-    manifests = manifests or derive_manifests(config)
+    manifests = derive_manifests(config)
     overheads = _file_overheads(snapshot, manifests)
     network = spawn_network(snapshot.config)
     network.wait_for_connectivity(config.min_degree)
@@ -316,7 +326,7 @@ def run_experiment(
     """spawn -> prepare -> iterate -> emit, returning everything produced."""
     network = spawn_network(config.sim)
     prepared = prepare(network, config)
-    results = run_iterations(prepared.snapshot, config, prepared.manifests)
+    results = run_iterations(prepared.snapshot, config)
     paths = emit_reports(results, prepared.census_after, outdir or config.outdir)
     return prepared, results, paths
 

@@ -26,7 +26,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from types import MappingProxyType
-from typing import Callable, Container, Mapping, get_type_hints
+from typing import Container, Mapping, get_type_hints
 
 import numpy as np
 
@@ -114,8 +114,6 @@ class Snapshot:
     digest: str
 
 
-# live peers' distance keys, and address -> live holders
-LookupIndex = tuple[np.ndarray, dict[Address, list[PeerId]]]
 # peer ids, each id's distance key, and build_views' P x w view table
 ViewRows = tuple[tuple[PeerId, ...], np.ndarray, np.ndarray]
 
@@ -229,32 +227,10 @@ class Network:
         path = self._walk(i, distance_keys([target]), self._dead())[0]
         return [self.peer_ids[j] for j in dict.fromkeys(path.tolist())]
 
-    def _lookup_index(self) -> LookupIndex:
-        """Every live peer's distance key, and each address the live peers
-        hold mapped to its live holders. Retrieval never writes a store or
-        changes failures, so one index serves a whole retrieve call."""
-        return self._keys[~self._dead()], holders(self.stores, skip=self.failed)
-
-    def _locate(
-        self,
-        entry: int,
-        addr: Address,
-        dead: np.ndarray,
-        index: Callable[[], LookupIndex],
-    ) -> tuple[bytes | None, int]:
-        """_locate_many of the one address addr."""
-        return self._locate_many(entry, [addr], dead, index)[0]
-
-    def _locate_many(
-        self,
-        entry: int,
-        addrs: list[Address],
-        dead: np.ndarray,
-        index: Callable[[], LookupIndex],
-    ) -> list[tuple[bytes | None, int]]:
+    def _locate_many(self, entry: int, addrs: list[Address]) -> list[tuple[bytes | None, int]]:
         """Find a live holder of each address from peer index entry, returning
-        (payload, peers probed) per address. dead flags the failed peers by
-        index; index returns _lookup_index's result.
+        (payload, peers probed) per address. Each call scans the stores once
+        for the live holders of every address.
 
         Each lookup probes the requester, the greedy path, the terminal
         neighborhood, then any remaining live peers by ascending distance; it
@@ -270,7 +246,8 @@ class Network:
         to one address are distinct), or probe every live peer but the
         requester and miss when no live peer holds the address.
         """
-        live, held = index()
+        dead = self._dead()
+        live, held = self._keys[~dead], holders(self.stores, skip=self.failed)
         keys, n, at = self._keys, len(self.peer_ids), self.peer_index
         targets, rows = distance_keys(addrs), np.arange(len(addrs))
         # each live holder as an (address row, peer) pair
@@ -382,29 +359,25 @@ class Network:
         from_peer: PeerId,
     ) -> tuple[bytes | None, RetrievalStats]:
         """Fetch and rebuild a file from the network, locating each distinct
-        address once, plain or coded, and repairing coded groups when chunks
-        are unreachable. Unrecoverable loss yields a failed stats record,
-        not an exception. Read-only: stores never change."""
+        address the manifest lists in one pass before the walk, plain or
+        coded, and repairing coded groups when chunks are unreachable.
+        Unrecoverable loss yields a failed stats record, not an exception.
+        Read-only: stores never change."""
         stats = RetrievalStats()
         if from_peer not in self.peer_index:
             raise ValueError("unknown entry peer")
         if from_peer in self.failed:
             stats.error = "entry peer is failed"
             return None, stats
-        index = functools.cache(self._lookup_index)
-        entry, dead = self.peer_index[from_peer], self._dead()
-
-        @functools.cache
-        def located() -> dict[Address, tuple[bytes | None, int]]:
-            listed = [manifest.root, *(a for level in manifest.levels for a in level)]
-            listed += [a for group in manifest.groups for a in group.parity_addresses]
-            addrs = list(dict.fromkeys(listed))
-            return dict(zip(addrs, self._locate_many(entry, addrs, dead, index)))
+        entry = self.peer_index[from_peer]
+        listed = [manifest.root, *(a for level in manifest.levels for a in level)]
+        listed += [a for group in manifest.groups for a in group.parity_addresses]
+        addrs = list(dict.fromkeys(listed))
+        located = dict(zip(addrs, self._locate_many(entry, addrs)))
 
         def fetch(addr: Address) -> bytes | None:
-            # every listed address is located in one pass, on the first fetch;
             # an address the manifest does not list gets a lookup of its own
-            payload, probes = located().get(addr) or self._locate(entry, addr, dead, index)
+            payload, probes = located.get(addr) or self._locate_many(entry, [addr])[0]
             stats.hops += probes
             if payload is not None:
                 stats.bytes_fetched += len(payload)

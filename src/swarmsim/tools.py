@@ -427,11 +427,12 @@ def combinestorage(
 def merge_keeps(
     placement: PlacementMap, keeps: Sequence[dict[Address, set[PeerId]]]
 ) -> dict[Address, set[PeerId]]:
-    """The replicas every keep map keeps. Raise InfeasiblePlanError if they
+    """The replicas every keep map keeps; a replica no map names is kept, so
+    merging no maps keeps every replica. Raise InfeasiblePlanError if they
     leave a peer without a chunk of a file it held (rule A across files), or
     keep a chunk on fewer peers than the fewest any map gave it: maps of
     files sharing a chunk can keep it on disjoint peers."""
-    kept: dict[Address, set[PeerId]] = {}
+    kept = {addr: set(peers) for addr, peers in placement.chunk_to_peers.items()}
     for keep in keeps:
         for addr, keepers in keep.items():
             kept[addr] = kept[addr] & keepers if addr in kept else keepers
@@ -441,7 +442,7 @@ def merge_keeps(
         raise InfeasiblePlanError(
             f"combined deletions starve peer {pid.hex()} of file {fid} (rule A)"
         )
-    for addr in sorted(kept):
+    for addr in sorted({addr for keep in keeps for addr in keep}):
         target_r = min(len(keep[addr]) for keep in keeps if addr in keep)
         if len(kept[addr]) < target_r:
             raise InfeasiblePlanError(

@@ -2,7 +2,6 @@
 over many addresses at once, the retrieval's one lookup pass, and the
 distance keys it compares."""
 
-import functools
 import warnings
 from dataclasses import replace
 
@@ -13,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from swarmsim import netsim
 from swarmsim.chunker import ChunkParams
 from swarmsim.codec import CodingParams
-from swarmsim.netsim import SYNC_NONE, Network, SimConfig, _view_rows, spawn_network
+from swarmsim.netsim import SYNC_NONE, Network, SimConfig, _view_rows, holders, spawn_network
 from swarmsim.overlay import make_peer_ids
 from swarmsim.seeds import derive_bytes, seeded_bytes
 from swarmsim.tools import listchunks
@@ -21,10 +20,8 @@ from test_lookup_oracle import normalised, reference_build_views, reference_loca
 
 
 def located(net, entry, addrs):
-    """_locate_many from peer id entry, with the failed flags and lookup
-    index built the way retrieve builds them."""
-    index = functools.cache(net._lookup_index)
-    return net._locate_many(net.peer_index[entry], addrs, net._dead(), index)
+    """_locate_many from peer id entry."""
+    return net._locate_many(net.peer_index[entry], addrs)
 
 
 class TestLocateMany:
@@ -81,9 +78,9 @@ def passes(monkeypatch):
     calls = []
     original = Network._locate_many
 
-    def spy(self, entry, addrs, dead, index):
+    def spy(self, entry, addrs):
         calls.append(list(addrs))
-        return original(self, entry, addrs, dead, index)
+        return original(self, entry, addrs)
 
     monkeypatch.setattr(Network, "_locate_many", spy)
     return calls
@@ -113,6 +110,26 @@ class TestOneLookupPassPerRetrieval:
         assert [len(addrs) for addrs in passes] == [len(listchunks(edited)), 1]
         assert passes[1] == [unlisted] and stats.success
 
+    def test_one_scan_of_the_stores_per_pass(self, monkeypatch):
+        """A listed manifest's retrieval scans the stores for holders once;
+        the edited leaf level's unlisted leaf costs a second scan."""
+        net, result = normalised(6)
+        manifest = result.manifests[0]
+        scans = []
+
+        def spy(*args, **kwargs):
+            scans.append(args)
+            return holders(*args, **kwargs)
+
+        monkeypatch.setattr(netsim, "holders", spy)
+        _, stats = net.retrieve(manifest, net.peer_ids[0])
+        assert stats.success and len(scans) == 1
+        leaves = list(manifest.levels[0])
+        leaves[0] = derive_bytes("not-a-leaf")
+        edited = replace(manifest, levels=[leaves] + manifest.levels[1:])
+        _, stats = net.retrieve(edited, net.peer_ids[0])
+        assert stats.success and len(scans) == 3
+
     @pytest.mark.parametrize("coding", [None, CodingParams(k=4, n=6)])
     @pytest.mark.parametrize("fraction", [0.0, 0.3, 0.6])
     def test_retrieve_matches_per_address_lookups(self, coding, fraction, monkeypatch):
@@ -127,7 +144,7 @@ class TestOneLookupPassPerRetrieval:
         monkeypatch.setattr(
             Network,
             "_locate_many",
-            lambda self, entry, addrs, dead, index: [
+            lambda self, entry, addrs: [
                 reference_locate(self, self.peer_ids[entry], a) for a in addrs
             ],
         )

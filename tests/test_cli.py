@@ -12,9 +12,10 @@ from swarmsim.chunker import ChunkParams, build_tree, split_file
 from swarmsim.cli import EX_INFEASIBLE, EX_IO, EX_OK, EX_UNAVAILABLE, EX_USAGE, run
 from swarmsim.codec import CodingParams, manifest_text, parse_manifest_text
 from swarmsim.harness import ExperimentConfig, emit_reports, file_bytes, prepare
-from swarmsim.netsim import SimConfig, load_snapshot, spawn_network
+from swarmsim.netsim import SimConfig, load_snapshot, save_snapshot, spawn_network
 from swarmsim.seeds import seeded_bytes
 from swarmsim.tools import PlacementMap, deletion_list_to_text, placement_to_text
+from test_netsim import long_symbol_network
 
 
 def cli(*argv):
@@ -165,6 +166,27 @@ class TestExitCodes:
         assert code == EX_UNAVAILABLE
         assert "unavailable" in err
         assert not out_path.exists()
+
+    def test_retrieve_with_a_symbol_longer_than_its_group_exits_three(self, tmp_path):
+        net, manifest = long_symbol_network()
+        save_snapshot(net.snapshot(), tmp_path / "net")
+        (tmp_path / "m.txt").write_text(manifest_text(manifest))
+        code, _, err = cli(
+            "retrieve", "--state", tmp_path / "net",
+            "--manifest", tmp_path / "m.txt", "--out", tmp_path / "out.bin",
+        )
+        assert code == EX_UNAVAILABLE
+        assert "longer than its group's coding length" in err
+
+    def test_combinestorage_of_no_lists_deletes_nothing(self, tmp_path, state):
+        placement, merged = tmp_path / "placement.txt", tmp_path / "none.txt"
+        code, _, err = cli("stats", "--state", state["dir"], "--manifest", state["manifest"],
+                           "--placement-out", placement)
+        assert code == EX_OK, err
+        code, out, err = cli("combinestorage", "--placement", placement, "--out", merged)
+        assert code == EX_OK, err
+        assert out == "combined 0 deletions\n"
+        assert merged.read_bytes() == b""
 
     def test_missing_input_exits_four(self, tmp_path):
         code, _, err = cli("listchunks", "--manifest", tmp_path / "absent.txt")

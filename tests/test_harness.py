@@ -196,8 +196,9 @@ class TestRunIterations:
         rows = run_iterations(prepared.snapshot, config)
         assert rows and all(not r.success for r in rows)
 
-    def test_manifests_from_prepare_give_the_same_rows(self, prepared, results):
-        assert run_iterations(prepared.snapshot, CONFIG, prepared.manifests) == results
+    def test_derived_manifests_equal_prepares_and_are_cached(self, prepared):
+        assert derive_manifests(CONFIG) == tuple(prepared.manifests)
+        assert derive_manifests(CONFIG) is derive_manifests(CONFIG)
 
     def test_iterations_are_independent(self, prepared, results):
         shorter = ExperimentConfig(
@@ -348,6 +349,23 @@ class TestConfigValidation:
             ExperimentConfig(**{**good, "iterations": 0})
         with pytest.raises(ValueError):
             ExperimentConfig(**{**good, "min_degree": 0})
+
+    def test_list_fields_become_tuples_so_manifests_can_be_cached(self):
+        sim = SimConfig(num_peers=10, view_size=4)
+        config = ExperimentConfig(sim=sim, file_sizes=[1000], fractions=[0.0, 0.5])
+        assert config == ExperimentConfig(sim=sim, file_sizes=(1000,), fractions=(0.0, 0.5))
+        assert len(derive_manifests(config)) == 1
+
+    @pytest.mark.parametrize(
+        "fractions, named",
+        [((0.1, 0.1), "0.1"), ((0.30000001, 0.3), "0.3"), ((0.0, 0.5, 0.0), "0")],
+    )
+    def test_rejects_fractions_that_print_alike(self, fractions, named):
+        """availability.csv keys rows by the :g form, so two fractions that
+        print alike would give rows with equal keys and different draws."""
+        sim = SimConfig(num_peers=10, view_size=4)
+        with pytest.raises(ValueError, match=f"^fraction {named} is repeated as availability"):
+            ExperimentConfig(sim=sim, file_sizes=(1000,), fractions=fractions)
 
 
 class TestParseExperimentConfig:

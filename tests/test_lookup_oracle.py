@@ -8,7 +8,6 @@ space in the cases they treat apart: holders on the path, failed peers in
 the neighbourhood or as the requester, neighbourhoods wider than a view,
 and two or three peers."""
 
-import functools
 import os
 import random
 import subprocess
@@ -195,11 +194,9 @@ def normalised(seed, coding=CodingParams(k=4, n=6)):
 def assert_lookups_match(net, addresses, entries):
     """Every (entry, address) lookup agrees with the sorted walk; returns
     how many were answered by the entry itself and how many missed."""
-    index, dead = net._lookup_index(), net._dead()
     by_entry = misses = 0
     for entry in entries:
-        for addr in addresses:
-            got = net._locate(net.peer_index[entry], addr, dead, lambda: index)
+        for addr, got in zip(addresses, net._locate_many(net.peer_index[entry], addresses)):
             assert got == reference_locate(net, entry, addr)
             by_entry += got == (net.stores[entry].get(addr), 0) and got[0] is not None
             misses += got[0] is None
@@ -247,10 +244,10 @@ class TestCountedLookup:
         got = [net.retrieve(edited, entry) for entry in entries]
         monkeypatch.setattr(
             Network,
-            "_locate",
-            lambda self, entry, addr, dead, index: reference_locate(
-                self, self.peer_ids[entry], addr
-            ),
+            "_locate_many",
+            lambda self, entry, addrs: [
+                reference_locate(self, self.peer_ids[entry], a) for a in addrs
+            ],
         )
         assert got == [net.retrieve(edited, entry) for entry in entries]
         if fraction == 0.0:
@@ -511,10 +508,8 @@ def lookup_network(n, view_size, ns, seed=3):
 
 
 def locate(net, entry, addr):
-    """_locate from peer id entry, with the failed flags and lookup index
-    built the way retrieve builds them."""
-    index = functools.cache(net._lookup_index)
-    return net._locate(net.peer_index[entry], addr, net._dead(), index)
+    """The lookup of the one address addr from peer id entry."""
+    return net._locate_many(net.peer_index[entry], [addr])[0]
 
 
 def routed(net, count):

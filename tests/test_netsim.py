@@ -39,6 +39,25 @@ def small_net(num_peers=50, seed=7, **kw):
     return spawn_network(SimConfig(num_peers=num_peers, seed=seed, **kw))
 
 
+def long_symbol_network():
+    """A network whose one coded file's last group, a level-1 group of one
+    32-byte chunk, lists leaf 0 (4096 bytes) as its first parity address,
+    with the 32-byte chunk gone from every store: repairing the group reads
+    a symbol longer than its coding length. Returns the network and the
+    edited manifest."""
+    net = small_net(60, 3, sync_mode=SYNC_NONE)
+    manifest = net.upload(seeded_bytes(512 * 4096 + 100, "long-symbol"), coding=CodingParams(k=4, n=6))
+    last = manifest.groups[-1]
+    short = last.data_addresses[0]
+    assert last.level == 1 and len(last.data_addresses) == 1
+    assert {len(store[short]) for store in net.stores.values() if short in store} == {32}
+    for store in net.stores.values():
+        store.pop(short, None)
+    parity = [manifest.levels[0][0], *last.parity_addresses[1:]]
+    groups = [*manifest.groups[:-1], replace(last, parity_addresses=parity)]
+    return net, replace(manifest, groups=groups)
+
+
 class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -209,6 +228,15 @@ class TestRetrieve:
         assert out is None
         assert not stats.success
         assert "unrecoverable" in stats.error
+
+    def test_a_symbol_longer_than_its_group_is_a_failure_record(self):
+        net, manifest = long_symbol_network()
+        out, stats = net.retrieve(manifest, net.peer_ids[0])
+        assert out is None
+        assert not stats.success
+        assert stats.error == (
+            f"chunk {manifest.levels[0][0].hex()} is longer than its group's coding length"
+        )
 
     def test_a_repeated_chunk_is_located_once_plain_or_coded(self):
         # a zero-filled file repeats one leaf 73 times: plain and coded alike

@@ -21,6 +21,7 @@ from swarmsim.tools import (
     deletion_list_from_text,
     deletion_list_to_text,
     listchunks,
+    merge_keeps,
     placement_from_network,
     placement_from_text,
     placement_to_text,
@@ -298,6 +299,14 @@ class TestCheckRules:
 class TestCombineStorage:
     def test_empty_input(self):
         assert combinestorage([]) == []
+
+    def test_no_lists_against_a_placement_delete_nothing(self):
+        placement = PlacementMap(
+            chunk_to_peers={C1: {P1, P2}, C2: {P1}, C3: {P2}},
+            files={"f1": (C1, C2), "f2": (C1, C3)},
+        )
+        assert combinestorage([], placement) == []
+        assert merge_keeps(placement, []) == placement.chunk_to_peers
 
     def test_union_is_sorted_and_deduplicated(self):
         a = [(P2, C1), (P1, C2)]
