@@ -15,7 +15,6 @@ from swarmsim import (
     SimConfig,
     build_views,
     make_peer_ids,
-    nearest_peers,
     responsible_peers,
     spawn_network,
     xor_distance,
@@ -27,7 +26,7 @@ print("first peer id:", peers[0].hex()[:16], "...")
 # XOR distance orders the swarm differently around every target
 a, b = peers[0], peers[1]
 print("distance peer0 to peer1:", xor_distance(a, b).bit_length(), "bits")
-ring = nearest_peers(a, peers, 5)
+ring = sorted(peers, key=lambda p: xor_distance(a, p))[:5]
 print("five closest to peer0:", [p.hex()[:8] for p in ring])
 
 # one row of peer indices per peer: row i is peer i's view, nearest first

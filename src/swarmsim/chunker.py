@@ -11,6 +11,7 @@ the file size is enough to fetch and rebuild the whole file.
 from __future__ import annotations
 
 import hashlib
+import re
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Optional
 
@@ -217,6 +218,14 @@ def parse_decimal(text: str) -> int:
     if not (text.isascii() and text.isdigit()):
         raise ValueError(f"invalid literal for a decimal integer: {text!r}")
     return int(text)
+
+
+def parse_float(text: str) -> float:
+    """A float in ASCII digits with an optional point and exponent, as :g prints
+    one; float() would also take a sign, underscores, other digits, inf and nan."""
+    if not re.fullmatch(r"([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?", text):
+        raise ValueError(f"invalid literal for a decimal number: {text!r}")
+    return float(text)
 
 
 def parse_keys(

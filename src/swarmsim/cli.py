@@ -11,7 +11,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .chunker import ChunkParams
+from .chunker import ChunkParams, parse_decimal
 from .codec import CodingParams, manifest_text, parse_manifest_text
 from .errors import InfeasiblePlanError, SwarmSimError
 from .harness import (
@@ -76,24 +76,24 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", help="write the manifest to this path")
     # network flags: they build a fresh network (unset ones take SimConfig's
     # defaults) and must match the network of an existing state
-    p.add_argument("--peers", type=int, help="peer count, required for a fresh network")
-    p.add_argument("--seed", type=int, help="network seed")
-    p.add_argument("--view-size", type=int, help="routing view size")
-    p.add_argument("--ns", type=int, help="neighbourhood size")
-    p.add_argument("--backends", type=int, help="backend count")
+    p.add_argument("--peers", type=parse_decimal, help="peer count, required for a fresh network")
+    p.add_argument("--seed", type=parse_decimal, help="network seed")
+    p.add_argument("--view-size", type=parse_decimal, help="routing view size")
+    p.add_argument("--ns", type=parse_decimal, help="neighbourhood size")
+    p.add_argument("--backends", type=parse_decimal, help="backend count")
     p.add_argument("--no-sync", action="store_true",
                    help="upload without the pull round; switches an existing state to no_sync")
-    p.add_argument("--chunk-size", type=int, help="chunk size in bytes")
-    p.add_argument("--branching", type=int, help="tree branching factor")
-    p.add_argument("--k", type=int, help="data chunks per coding group")
-    p.add_argument("--n", type=int, help="total chunks per coding group")
+    p.add_argument("--chunk-size", type=parse_decimal, help="chunk size in bytes")
+    p.add_argument("--branching", type=parse_decimal, help="tree branching factor")
+    p.add_argument("--k", type=parse_decimal, help="data chunks per coding group")
+    p.add_argument("--n", type=parse_decimal, help="total chunks per coding group")
 
     p = sub.add_parser("retrieve", help="fetch a file back out of the network")
     p.add_argument("--state", required=True)
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True, help="write the file here")
-    p.add_argument("--entry", type=int, help="entry peer index")
-    p.add_argument("--seed", type=int, default=0,
+    p.add_argument("--entry", type=parse_decimal, help="entry peer index")
+    p.add_argument("--seed", type=parse_decimal, default=0,
                    help="entry peer draw when --entry is not given")
 
     p = sub.add_parser("listchunks", help="print every chunk address of a file, root first")
@@ -102,7 +102,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("bakedeletion", help="plan deletions for uniform replication")
     p.add_argument("--placement", required=True, help="placement map file")
-    p.add_argument("--target-r", type=int, required=True)
+    p.add_argument("--target-r", type=parse_decimal, required=True)
     p.add_argument("--out", required=True, help="write the deletion list here")
 
     p = sub.add_parser("combinestorage", help="merge deletion lists")
@@ -196,6 +196,8 @@ def _cmd_upload(args, stdout) -> int:
 
 
 def _cmd_retrieve(args, stdout) -> int:
+    if args.seed >= 2**64:
+        raise UsageError("--seed must fit in 64 bits")
     network = _load_network(args.state)
     manifest = parse_manifest_text(Path(args.manifest).read_text())
     if args.entry is not None:

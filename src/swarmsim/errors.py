@@ -53,7 +53,3 @@ class SnapshotMismatchError(SwarmSimError):
 
 class ConnectivityError(SwarmSimError):
     """A peer's routing view has fewer members than required."""
-
-    def __init__(self, message: str, degrees: "list[int] | None" = None):
-        self.degrees = degrees or []
-        super().__init__(message)

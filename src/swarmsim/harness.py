@@ -20,9 +20,8 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterable
 
-from .chunker import (
-    Address, ChunkParams, FileManifest, build_tree, parse_decimal, parse_keys, split_file,
-)
+from .chunker import Address, ChunkParams, FileManifest, build_tree, parse_decimal
+from .chunker import parse_float, parse_keys, split_file
 from .codec import CodingParams, encode_tree
 from .errors import InfeasiblePlanError, SnapshotMismatchError, SwarmSimError
 from .netsim import Network, RetrievalStats, SimConfig, Snapshot, SYNC_NONE, spawn_network
@@ -238,7 +237,6 @@ def run_iterations(snapshot: Snapshot, config: ExperimentConfig) -> list[Availab
     fails a seeded peer set, and retrieves every file through a seeded live
     entry peer. Those draws come from config, so a snapshot of another
     network raises SnapshotMismatchError; only the sync mode may differ.
-    manifests, if given, must be derive_manifests(config), as prepare returns.
     """
     for f in fields(SimConfig):
         held, wanted = getattr(snapshot.config, f.name), getattr(config.sim, f.name)
@@ -323,8 +321,9 @@ def emit_reports(
 def run_experiment(
     config: ExperimentConfig, outdir: str | Path | None = None
 ) -> tuple[PrepareResult, list[AvailabilityResult], list[Path]]:
-    """spawn -> prepare -> iterate -> emit, returning everything produced."""
+    """spawn -> check views -> prepare -> iterate -> emit, returning everything produced."""
     network = spawn_network(config.sim)
+    network.wait_for_connectivity(config.min_degree)
     prepared = prepare(network, config)
     results = run_iterations(prepared.snapshot, config)
     paths = emit_reports(results, prepared.census_after, outdir or config.outdir)
@@ -356,7 +355,7 @@ CONFIG_KEYS = {
     "file_sizes": (ExperimentConfig, "file_sizes", _numbers(parse_decimal)),
     "min_degree": (ExperimentConfig, "min_degree", parse_decimal),
     "target_r": (ExperimentConfig, "target_r", parse_decimal),
-    "fractions": (ExperimentConfig, "fractions", _numbers(float)),
+    "fractions": (ExperimentConfig, "fractions", _numbers(parse_float)),
     "iterations": (ExperimentConfig, "iterations", parse_decimal),
     "out": (ExperimentConfig, "outdir", str),
 }

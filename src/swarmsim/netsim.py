@@ -23,7 +23,7 @@ import hashlib
 import os
 import shutil
 from collections import defaultdict
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from types import MappingProxyType
 from typing import Container, Mapping, get_type_hints
@@ -97,12 +97,6 @@ class RetrievalStats:
     bytes_fetched: int = 0
     repaired_groups: int = 0
     error: str | None = None
-
-
-@dataclass
-class ConnectivityReport:
-    min_degree: int
-    degrees: list[int] = field(default_factory=list)
 
 
 @dataclass
@@ -448,21 +442,16 @@ class Network:
         self.failed.clear()
         self.sync_mode = SYNC_NONE
 
-    def wait_for_connectivity(self, min_degree: int) -> ConnectivityReport:
-        """Assert every peer's view has at least min_degree members."""
+    def wait_for_connectivity(self, min_degree: int) -> None:
+        """Assert every peer's view has at least min_degree members. Every
+        view is one row of the view table, so its width decides."""
         if min_degree >= len(self.peer_ids):
             raise ValueError(
-                f"min_degree {min_degree} cannot be met by "
-                f"{len(self.peer_ids)} peers"
-            )
-        degrees = [self._table.shape[1]] * len(self.peer_ids)
-        if min(degrees) < min_degree:
-            raise ConnectivityError(
-                f"connectivity below min_degree {min_degree}: "
-                f"weakest peer has {min(degrees)} view members",
-                degrees=degrees,
-            )
-        return ConnectivityReport(min_degree=min_degree, degrees=degrees)
+                f"min_degree {min_degree} cannot be met by {len(self.peer_ids)} peers")
+        width = self._table.shape[1]
+        if width < min_degree:
+            raise ConnectivityError(f"connectivity below min_degree {min_degree}: "
+                                    f"weakest peer has {width} view members")
 
     def census_digest(self) -> str:
         return _stores_digest(self.peer_ids, self.stores)

@@ -34,25 +34,6 @@ def xor_distance(a: bytes, b: bytes) -> int:
     return int.from_bytes(a, "big") ^ int.from_bytes(b, "big")
 
 
-def nearest_peers(target: bytes, candidates, m: int) -> list[PeerId]:
-    """The m candidates nearest to target, ascending XOR distance.
-
-    The target is converted to an int once and candidates are sorted on
-    their XOR with it. Distances to a fixed target are distinct for
-    distinct ids, so the order needs no tie-break.
-    """
-    if m < 1:
-        raise ValueError("m must be at least 1")
-    pool = list(candidates)
-    if not pool:
-        raise ValueError("no candidates")
-    if set(map(len, pool)) != {len(target)}:
-        raise ValueError("ids must have equal length")
-    t = int.from_bytes(target, "big")
-    pool.sort(key=lambda p: t ^ int.from_bytes(p, "big"))
-    return pool[:m]
-
-
 @dataclass(frozen=True)
 class RoutingView:
     """One peer's partial knowledge of the network."""
@@ -137,8 +118,9 @@ def build_views(peer_ids: list[PeerId], view_size: int, seed: int) -> np.ndarray
 def responsible_peers(chunk: bytes, owner: PeerId, members: Iterable[PeerId],
                       ns: int) -> tuple[PeerId, ...]:
     """The chunk's neighborhood as computed from one peer's view: the ns
-    nearest ids among the owner and its view members, nearest first."""
+    nearest ids among the owner and its view members, nearest first.
+    Distances to one chunk are distinct for distinct ids, so the order
+    needs no tie-break."""
     if ns < 1:
         raise ValueError("ns must be at least 1")
-    candidates = {owner, *members}
-    return tuple(nearest_peers(chunk, candidates, min(ns, len(candidates))))
+    return tuple(sorted({owner, *members}, key=lambda p: xor_distance(chunk, p))[:ns])

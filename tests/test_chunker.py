@@ -8,6 +8,7 @@ from swarmsim.chunker import (
     content_address,
     level_payload_lengths,
     parse_address,
+    parse_float,
     parse_keys,
     reassemble,
     split_file,
@@ -321,3 +322,9 @@ class TestParseKeys:
     def test_every_rejection_names_the_format_and_the_key_or_line(self, lines, error):
         with pytest.raises(ValueError, match=error):
             parse_keys(lines, self.SCHEMA, "demo", ["size"])
+
+
+class TestParseFloat:
+    @given(value=st.floats(min_value=0, allow_nan=False, allow_infinity=False))
+    def test_reads_back_what_g_prints(self, value):
+        assert parse_float(f"{value:g}") == float(f"{value:g}")

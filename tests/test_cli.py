@@ -210,6 +210,31 @@ class TestExitCodes:
         assert code == EX_USAGE
         assert "out of range" in err
 
+    # int() would read every one of these; every other integer reader refuses them
+    @pytest.mark.parametrize("value", ["2_0", "+20", "\u0662\u0660", "-1"])
+    @pytest.mark.parametrize("argv", [
+        ["upload", "--file", "in.bin", "--state", "net", "--peers"],
+        ["upload", "--file", "in.bin", "--state", "net", "--peers", "20", "--k", "2", "--n"],
+        ["retrieve", "--state", "net", "--manifest", "m.txt", "--out", "o.bin", "--seed"],
+        ["bakedeletion", "--placement", "p.txt", "--out", "l.txt", "--target-r"],
+    ])
+    def test_integer_flags_take_decimal_digits_alone(self, tmp_path, monkeypatch, argv, value):
+        monkeypatch.chdir(tmp_path)
+        Path("in.bin").write_bytes(seeded_bytes(5000, "flags"))
+        code, _, err = cli(*argv, value)
+        assert code == EX_USAGE
+        assert f"argument {argv[-1]}: invalid" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.bin"]
+
+    def test_retrieve_seed_must_fit_in_64_bits(self, tmp_path, state):
+        argv = ["retrieve", "--state", state["dir"], "--manifest", state["manifest"]]
+        code, _, err = cli(*argv, "--out", tmp_path / "over.bin", "--seed", 2**64)
+        assert code == EX_USAGE
+        assert "--seed must fit in 64 bits" in err
+        assert not (tmp_path / "over.bin").exists()
+        code, _, err = cli(*argv, "--out", tmp_path / "max.bin", "--seed", 2**64 - 1)
+        assert code == EX_OK, err
+
     def test_retrieve_rejects_unknown_state_key(self, tmp_path, state):
         copy = tmp_path / "net"
         shutil.copytree(state["dir"], copy)
@@ -518,6 +543,16 @@ class TestExperiment:
         code, out, err = cli("experiment", "--config", config, "--out", out_dir)
         assert code == EX_USAGE
         assert "'fraction'" in err
+        assert not out_dir.exists()
+
+    def test_min_degree_above_view_width_is_refused(self, tmp_path):
+        config = tmp_path / "sweep.txt"
+        config.write_text("peers=20\nseed=5\nview_size=8\nfile_sizes=40000\nmin_degree=9\n")
+        out_dir = tmp_path / "results"
+        code, out, err = cli("experiment", "--config", config, "--out", out_dir)
+        assert code == EX_USAGE
+        assert "connectivity below min_degree 9: weakest peer has 8 view members" in err
+        assert out == ""
         assert not out_dir.exists()
 
 

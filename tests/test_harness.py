@@ -5,7 +5,7 @@ import pytest
 from swarmsim import harness
 from swarmsim.chunker import ChunkParams
 from swarmsim.codec import CodingParams, group_data_lengths
-from swarmsim.errors import InfeasiblePlanError, SnapshotMismatchError
+from swarmsim.errors import ConnectivityError, InfeasiblePlanError, SnapshotMismatchError
 from swarmsim.harness import (
     ExperimentConfig,
     census,
@@ -325,6 +325,25 @@ class TestRunExperiment:
         hist_lines = paths[1].read_text().splitlines()
         assert hist_lines[1:] == [f"4,{prepared.census_after.distinct_chunks}"]
 
+    def test_min_degree_above_view_width_is_refused_before_any_upload(
+        self, tmp_path, monkeypatch
+    ):
+        uploads = []
+        upload = Network.upload
+
+        def spy(self, *args, **kwargs):
+            uploads.append(args)
+            return upload(self, *args, **kwargs)
+
+        monkeypatch.setattr(Network, "upload", spy)
+        config = ExperimentConfig(
+            sim=SimConfig(num_peers=30, seed=2, view_size=10), file_sizes=(80_000,), min_degree=11
+        )
+        with pytest.raises(ConnectivityError, match="^connectivity below min_degree 11: weakest"):
+            run_experiment(config, tmp_path / "out")
+        assert uploads == []
+        assert not (tmp_path / "out").exists()
+
 
 class TestFileBytes:
     def test_sizes_and_determinism(self):
@@ -515,3 +534,21 @@ out=resdir
     def test_integers_are_decimal_digits_alone(self, peers, file_sizes, key):
         with pytest.raises(ValueError, match=f"^experiment config key '{key}': invalid literal"):
             parse_experiment_config(f"peers={peers}\nfile_sizes={file_sizes}\nmin_degree=1\n")
+
+    # float() would read every one of these; -0 would print as -0 in
+    # availability.csv, and 0,-0 would pass the check on fractions printed alike
+    @pytest.mark.parametrize("fractions", [
+        "-0", "0,-0", "+0.5", "0.1_5", "\u0660.\u0665", "0.\uff15", "inf", "nan", "1e-0_5",
+        "0x1p-1", ".", "e5", "0.5e",
+    ])
+    def test_fractions_are_unsigned_ascii_decimals(self, fractions):
+        with pytest.raises(ValueError, match="^experiment config key 'fractions': invalid literal"):
+            parse_experiment_config(
+                f"peers=10\nfile_sizes=5000\nmin_degree=1\nfractions={fractions}\n"
+            )
+
+    def test_fraction_spellings_that_parse(self):
+        config = parse_experiment_config(
+            "peers=10\nfile_sizes=5000\nmin_degree=1\nfractions=0, 0.5,.25,1.,1e-05,2E-3\n"
+        )
+        assert config.fractions == (0.0, 0.5, 0.25, 1.0, 1e-05, 0.002)

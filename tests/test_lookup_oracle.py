@@ -22,6 +22,7 @@ from hypothesis import given, settings, strategies as st
 
 from swarmsim.chunker import ChunkParams, build_tree, split_file
 from swarmsim.codec import CodingParams, encode_tree
+from swarmsim.errors import ConnectivityError
 from swarmsim.harness import ExperimentConfig, prepare
 from swarmsim.netsim import (
     SYNC_FULL,
@@ -37,7 +38,6 @@ from swarmsim.overlay import (
     build_views,
     distance_keys,
     make_peer_ids,
-    nearest_peers,
     responsible_peers,
     xor_distance,
 )
@@ -340,12 +340,12 @@ class TestViews:
         with pytest.raises(ValueError, match="distinct"):
             build_views(ids + ids[:1], 2, 0)
 
-    def test_nearest_peers_rejects_unequal_lengths(self):
+    def test_responsible_peers_rejects_unequal_lengths(self):
         target = bytes(32)
         with pytest.raises(ValueError, match="equal length"):
-            nearest_peers(target, [bytes([1]) * 32, bytes([2]) * 31], 1)
+            responsible_peers(target, bytes([1]) * 32, [bytes([2]) * 31], 1)
         with pytest.raises(ValueError, match="equal length"):
-            nearest_peers(bytes(31), [bytes([1]) * 32], 1)
+            responsible_peers(bytes(31), bytes([1]) * 32, [], 1)
 
 
 class TestViewsOncePerConfig:
@@ -485,8 +485,12 @@ class TestRoutingOverIndexRows:
     @SIZES
     def test_connectivity_degrees_are_view_sizes(self, n, view_size):
         net, views = oracle_network(n, view_size, 0.0)
-        report = net.wait_for_connectivity(1)
-        assert report.degrees == [len(views[pid].known) for pid in net.peer_ids]
+        (width,) = {len(view.known) for view in views.values()}
+        assert net.wait_for_connectivity(width) is None
+        # one more member than every view holds; a clamped view already
+        # holds every other peer, so there the peer count refuses it first
+        with pytest.raises(ConnectivityError if width + 1 < n else ValueError):
+            net.wait_for_connectivity(width + 1)
 
     def test_unknown_entry_peer_rejected(self):
         net, _ = oracle_network(17, 4, 0.0)

@@ -8,7 +8,6 @@ from swarmsim.overlay import (
     build_views,
     distance_keys,
     make_peer_ids,
-    nearest_peers,
     responsible_peers,
     xor_distance,
 )
@@ -41,28 +40,6 @@ class TestDistance:
         far = b"\x01" + bytes(31)
         assert xor_distance(target, near) > 0
         assert xor_distance(target, far) > xor_distance(target, near)
-
-
-class TestNearestPeers:
-    def test_orders_by_distance_to_target(self):
-        pool = [byte_id(4), byte_id(1), byte_id(9)]
-        assert nearest_peers(byte_id(5), pool, 3) == [byte_id(4), byte_id(1), byte_id(9)]
-        assert nearest_peers(byte_id(5), pool, 1) == [byte_id(4)]
-
-    def test_m_larger_than_pool_returns_all(self):
-        pool = [byte_id(4), byte_id(1)]
-        assert nearest_peers(byte_id(5), pool, 10) == [byte_id(4), byte_id(1)]
-
-    def test_empty_pool_rejected(self):
-        with pytest.raises(ValueError, match="no candidates"):
-            nearest_peers(byte_id(0), [], 1)
-
-    def test_nearness_is_not_symmetric(self):
-        # 1 is nearest to 0, but 0 (not 1) is nearest to 4: closeness
-        # relations in XOR space do not mirror
-        ids = [byte_id(0), byte_id(1), byte_id(4)]
-        assert nearest_peers(byte_id(0), [i for i in ids if i != byte_id(0)], 1) == [byte_id(1)]
-        assert nearest_peers(byte_id(4), [i for i in ids if i != byte_id(4)], 1) == [byte_id(0)]
 
 
 class TestPeerIds:
@@ -164,7 +141,7 @@ class TestResponsiblePeers:
         chunk = bytes.fromhex("ab" * 32)
         hood = responsible_peers(chunk, owner, members, 4)
         candidates = set(members) | {owner}
-        expected = nearest_peers(chunk, candidates, 4)
+        expected = sorted(candidates, key=lambda p: xor_distance(chunk, p))[:4]
         assert hood == tuple(expected)
 
     def test_owner_can_be_responsible(self):
