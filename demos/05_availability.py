@@ -8,8 +8,6 @@ to retrieve every file. Each iteration restores the snapshot first, so
 runs are independent and the whole sweep is reproducible byte for byte.
 """
 
-from pathlib import Path
-
 from swarmsim import (
     CodingParams,
     ExperimentConfig,
@@ -25,10 +23,10 @@ config = ExperimentConfig(
     fractions=(0.0, 0.2, 0.4, 0.6, 0.8),
     iterations=5,
     min_degree=2,
+    outdir="demo-out",
 )
 
-out_dir = Path("demo-out")
-prepared, results, paths = run_experiment(config, out_dir)
+prepared, results, paths = run_experiment(config)
 
 print("files uploaded:", [fid[:12] for fid in prepared.file_ids])
 print("replica histogram after normalization:",

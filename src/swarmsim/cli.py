@@ -9,16 +9,19 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
-from .chunker import ChunkParams, parse_decimal
-from .codec import CodingParams, manifest_text, parse_manifest_text
+from .chunker import parse_decimal
+from .codec import manifest_text, parse_manifest_text
 from .errors import InfeasiblePlanError, SwarmSimError
 from .harness import (
     CONFIG_KEYS,
+    ExperimentConfig,
     census,
     emit_census,
     emit_reports,  # not called here; perfbench's tracer patches cli.emit_reports
+    group_config,
     parse_experiment_config,
     prepare,
     run_experiment,
@@ -61,6 +64,12 @@ class AvailabilityFailure(Exception):
     pass
 
 
+# upload's config flags: the experiment file's network, chunk and coding
+# keys, less sync_mode, which is --no-sync there
+_UPLOAD_KEYS = [key for key, row in CONFIG_KEYS.items()
+                if row[0] is not ExperimentConfig and key != "sync_mode"]
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # keep argparse from sys.exit(2)
         raise UsageError(message)
@@ -74,27 +83,22 @@ def _build_parser() -> _Parser:
     p.add_argument("--file", required=True, help="input file path")
     p.add_argument("--state", required=True, help="network state directory")
     p.add_argument("--out", help="write the manifest to this path")
-    # network flags: they build a fresh network (unset ones take SimConfig's
-    # defaults) and must match the network of an existing state
-    p.add_argument("--peers", type=parse_decimal, help="peer count, required for a fresh network")
-    p.add_argument("--seed", type=parse_decimal, help="network seed")
-    p.add_argument("--view-size", type=parse_decimal, help="routing view size")
-    p.add_argument("--ns", type=parse_decimal, help="neighbourhood size")
-    p.add_argument("--backends", type=parse_decimal, help="backend count")
+    # config flags: network flags build a fresh network (unset ones take
+    # SimConfig's defaults) and must match the network of an existing state
+    for key in _UPLOAD_KEYS:
+        _, _, parse, text = CONFIG_KEYS[key]
+        p.add_argument(f"--{key.replace('_', '-')}", type=parse, help=text)
     p.add_argument("--no-sync", action="store_true",
                    help="upload without the pull round; switches an existing state to no_sync")
-    p.add_argument("--chunk-size", type=parse_decimal, help="chunk size in bytes")
-    p.add_argument("--branching", type=parse_decimal, help="tree branching factor")
-    p.add_argument("--k", type=parse_decimal, help="data chunks per coding group")
-    p.add_argument("--n", type=parse_decimal, help="total chunks per coding group")
 
     p = sub.add_parser("retrieve", help="fetch a file back out of the network")
     p.add_argument("--state", required=True)
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True, help="write the file here")
-    p.add_argument("--entry", type=parse_decimal, help="entry peer index")
-    p.add_argument("--seed", type=parse_decimal, default=0,
-                   help="entry peer draw when --entry is not given")
+    entry = p.add_mutually_exclusive_group()
+    entry.add_argument("--entry", type=parse_decimal, help="entry peer index")
+    # no default, so that --seed 0 next to --entry counts as given
+    entry.add_argument("--seed", type=parse_decimal, help="entry peer draw (default 0)")
 
     p = sub.add_parser("listchunks", help="print every chunk address of a file, root first")
     p.add_argument("--manifest", required=True)
@@ -147,47 +151,25 @@ def _save_network(network: Network, state: str) -> None:
     save_snapshot(network.snapshot(), state)
 
 
-# upload's network flags, by the SimConfig field each one sets: the
-# experiment config's network keys, less sync_mode, which is --no-sync here
-_NETWORK_FLAGS = {
-    key: name
-    for key, (owner, name, _) in CONFIG_KEYS.items()
-    if owner is SimConfig and key != "sync_mode"
-}
-
-
 def _cmd_upload(args, stdout) -> int:
-    if (args.k is None) != (args.n is None):
-        raise UsageError("--k and --n must be given together")
+    given = {key: getattr(args, key) for key in _UPLOAD_KEYS if getattr(args, key) is not None}
+    sim, rest = group_config(given)
     data = Path(args.file).read_bytes()
-    given = {
-        name: getattr(args, flag)
-        for flag, name in _NETWORK_FLAGS.items()
-        if getattr(args, flag) is not None
-    }
     sync_mode = SYNC_NONE if args.no_sync else SYNC_FULL
     if (Path(args.state) / "manifest.txt").is_file():
         network = _load_network(args.state)
-        for flag, name in _NETWORK_FLAGS.items():
-            held = getattr(network.config, name)
-            if name in given and given[name] != held:
-                raise UsageError(
-                    f"--{flag.replace('_', '-')} {given[name]} disagrees with "
-                    f"the state's {held}"
-                )
+        for key, value in given.items():
+            owner, name, _, _ = CONFIG_KEYS[key]
+            if owner is SimConfig and value != getattr(network.config, name):
+                raise UsageError(f"--{key.replace('_', '-')} {value} disagrees with "
+                                 f"the state's {getattr(network.config, name)}")
         if args.no_sync:  # leaving the flag out keeps the state's mode
             network.sync_mode = sync_mode
     else:
         if args.peers is None:
             raise UsageError("--peers is required for a fresh network")
-        network = spawn_network(SimConfig(sync_mode=sync_mode, **given))
-    coding = CodingParams(k=args.k, n=args.n) if args.k is not None else None
-    params = ChunkParams(**{
-        name: getattr(args, name)
-        for name in ("chunk_size", "branching")
-        if getattr(args, name) is not None
-    })
-    manifest = network.upload(data, params, coding)
+        network = spawn_network(SimConfig(sync_mode=sync_mode, **sim))
+    manifest = network.upload(data, rest["chunk"], rest["coding"])
     _save_network(network, args.state)
     if args.out:
         Path(args.out).write_text(manifest_text(manifest))
@@ -196,7 +178,8 @@ def _cmd_upload(args, stdout) -> int:
 
 
 def _cmd_retrieve(args, stdout) -> int:
-    if args.seed >= 2**64:
+    seed = args.seed or 0
+    if seed >= 2**64:
         raise UsageError("--seed must fit in 64 bits")
     network = _load_network(args.state)
     manifest = parse_manifest_text(Path(args.manifest).read_text())
@@ -208,7 +191,7 @@ def _cmd_retrieve(args, stdout) -> int:
         live = network.live_peers()
         if not live:
             raise AvailabilityFailure("no live peers")
-        entry = live[derive_rng("cli-entry", args.seed).randrange(len(live))]
+        entry = live[derive_rng("cli-entry", seed).randrange(len(live))]
     data, stats = network.retrieve(manifest, entry)
     if not stats.success:
         raise AvailabilityFailure(stats.error or "retrieval failed")
@@ -281,7 +264,9 @@ def _cmd_restore(args, stdout) -> int:
 
 def _cmd_experiment(args, stdout) -> int:
     config = parse_experiment_config(Path(args.config).read_text())
-    _, results, paths = run_experiment(config, args.out)
+    if args.out:
+        config = replace(config, outdir=args.out)
+    _, results, paths = run_experiment(config)
     successes = sum(1 for r in results if r.success)
     print(f"{successes}/{len(results)} retrievals succeeded", file=stdout)
     for path in paths:

@@ -319,14 +319,14 @@ def emit_reports(
 
 
 def run_experiment(
-    config: ExperimentConfig, outdir: str | Path | None = None
+    config: ExperimentConfig,
 ) -> tuple[PrepareResult, list[AvailabilityResult], list[Path]]:
-    """spawn -> check views -> prepare -> iterate -> emit, returning everything produced."""
+    """spawn -> check views -> prepare -> iterate -> emit into config.outdir; returns it all."""
     network = spawn_network(config.sim)
     network.wait_for_connectivity(config.min_degree)
     prepared = prepare(network, config)
     results = run_iterations(prepared.snapshot, config)
-    paths = emit_reports(results, prepared.census_after, outdir or config.outdir)
+    paths = emit_reports(results, prepared.census_after, config.outdir)
     return prepared, results, paths
 
 
@@ -340,25 +340,43 @@ def _numbers(parse):
 
 
 # experiment config key -> (the constructor it goes to, its field there,
-# value parser); a key left out takes that constructor's default
+# value parser, help text); a key left out takes that constructor's default.
+# upload's config flags are the SimConfig, ChunkParams and CodingParams rows.
 CONFIG_KEYS = {
-    "peers": (SimConfig, "num_peers", parse_decimal),
-    "seed": (SimConfig, "seed", parse_decimal),
-    "view_size": (SimConfig, "view_size", parse_decimal),
-    "ns": (SimConfig, "ns", parse_decimal),
-    "backends": (SimConfig, "num_backends", parse_decimal),
-    "sync_mode": (SimConfig, "sync_mode", str),
-    "chunk_size": (ChunkParams, "chunk_size", parse_decimal),
-    "branching": (ChunkParams, "branching", parse_decimal),
-    "k": (CodingParams, "k", parse_decimal),
-    "n": (CodingParams, "n", parse_decimal),
-    "file_sizes": (ExperimentConfig, "file_sizes", _numbers(parse_decimal)),
-    "min_degree": (ExperimentConfig, "min_degree", parse_decimal),
-    "target_r": (ExperimentConfig, "target_r", parse_decimal),
-    "fractions": (ExperimentConfig, "fractions", _numbers(parse_float)),
-    "iterations": (ExperimentConfig, "iterations", parse_decimal),
-    "out": (ExperimentConfig, "outdir", str),
+    "peers": (SimConfig, "num_peers", parse_decimal, "peer count, required for a fresh network"),
+    "seed": (SimConfig, "seed", parse_decimal, "network seed"),
+    "view_size": (SimConfig, "view_size", parse_decimal, "routing view size"),
+    "ns": (SimConfig, "ns", parse_decimal, "neighbourhood size"),
+    "backends": (SimConfig, "num_backends", parse_decimal, "backend count"),
+    "sync_mode": (SimConfig, "sync_mode", str, "full or no_sync"),
+    "chunk_size": (ChunkParams, "chunk_size", parse_decimal, "chunk size in bytes"),
+    "branching": (ChunkParams, "branching", parse_decimal, "tree branching factor"),
+    "k": (CodingParams, "k", parse_decimal, "data chunks per coding group"),
+    "n": (CodingParams, "n", parse_decimal, "total chunks per coding group"),
+    "file_sizes": (ExperimentConfig, "file_sizes", _numbers(parse_decimal), "file sizes in bytes"),
+    "min_degree": (ExperimentConfig, "min_degree", parse_decimal, "fewest view members per peer"),
+    "target_r": (ExperimentConfig, "target_r", parse_decimal, "replicas per chunk, normalized"),
+    "fractions": (ExperimentConfig, "fractions", _numbers(parse_float), "shares of peers failed"),
+    "iterations": (ExperimentConfig, "iterations", parse_decimal, "failure draws per fraction"),
+    "out": (ExperimentConfig, "outdir", str, "report directory"),
 }
+
+
+def group_config(keys: dict[str, object]) -> tuple[dict[str, object], dict[str, object]]:
+    """Group given CONFIG_KEYS values by constructor, after checking that k
+    and n come together. Returns the SimConfig fields given, and
+    ExperimentConfig's other keyword arguments: its own fields given, plus
+    `chunk` and `coding` built from theirs (`coding` is None without k and n)."""
+    if ("k" in keys) != ("n" in keys):
+        raise ValueError("k and n must be given together")
+    given: defaultdict[type, dict[str, object]] = defaultdict(dict)
+    for key, value in keys.items():
+        owner, name, _, _ = CONFIG_KEYS[key]
+        given[owner][name] = value
+    coding = CodingParams(**given[CodingParams]) if "k" in keys else None
+    return given[SimConfig], {
+        **given[ExperimentConfig], "chunk": ChunkParams(**given[ChunkParams]), "coding": coding,
+    }
 
 
 def parse_experiment_config(text: str) -> ExperimentConfig:
@@ -373,20 +391,9 @@ def parse_experiment_config(text: str) -> ExperimentConfig:
     lines = [line.strip() for line in text.splitlines()]
     keys = parse_keys(
         [line for line in lines if line and not line.startswith("#")],
-        {key: parse for key, (_, _, parse) in CONFIG_KEYS.items()},
+        {key: parse for key, (_, _, parse, _) in CONFIG_KEYS.items()},
         "experiment config",
         ("peers", "file_sizes", "min_degree"),
     )
-    if ("k" in keys) != ("n" in keys):
-        raise ValueError("k and n must be given together")
-
-    given: defaultdict[type, dict[str, object]] = defaultdict(dict)
-    for key, value in keys.items():
-        owner, name, _ = CONFIG_KEYS[key]
-        given[owner][name] = value
-    return ExperimentConfig(
-        sim=SimConfig(**given[SimConfig]),
-        chunk=ChunkParams(**given[ChunkParams]),
-        coding=CodingParams(**given[CodingParams]) if "k" in keys else None,
-        **given[ExperimentConfig],
-    )
+    sim, rest = group_config(keys)
+    return ExperimentConfig(sim=SimConfig(**sim), **rest)

@@ -115,8 +115,8 @@ def placement_from_network(network, files: dict[str, Sequence[Address]]) -> Plac
 
 
 def holders_map(network, addresses: Iterable[Address]) -> dict[Address, set[PeerId]]:
-    """Current holders per address, failed peers included and empty sets
-    for addresses nobody holds; each set is built in peer order."""
+    """Each given address mapped to the set of peers whose store holds it,
+    failed peers included; an address nobody holds maps to an empty set."""
     held = holders(network.stores)
     return {addr: set(held.get(addr, ())) for addr in addresses}
 
@@ -410,12 +410,16 @@ def combinestorage(
 ) -> list[DeletionEntry]:
     """Merge deletion lists into one sorted, duplicate-free list.
 
-    With a placement given, the replicas each list leaves are merged by
-    merge_keeps: per-file lists can be individually safe yet jointly starve
-    a peer of a shared chunk's file, or delete every replica of the chunk.
+    With a placement given, an entry naming a replica the placement does not
+    hold is refused with ValueError. The replicas each list leaves are then
+    merged by merge_keeps: per-file lists can be individually safe yet jointly
+    starve a peer of a shared chunk's file, or delete every replica of the chunk.
     """
     merged = sorted({entry for lst in lists for entry in lst})
     if placement is not None:
+        for pid, addr in merged:
+            if pid not in placement.chunk_to_peers.get(addr, ()):
+                raise ValueError(f"deletion entry {pid.hex()} {addr.hex()} is not in the placement")
         merge_keeps(placement, [
             {a: {p for p in holders if (p, a) not in removed}
              for a, holders in placement.chunk_to_peers.items()}

@@ -274,8 +274,8 @@ def test_criterion_8_experiment_reruns_are_byte_identical(tmp_path):
         iterations=5,
         min_degree=2,
     )
-    _, _, first = run_experiment(config, tmp_path / "a")
-    _, _, second = run_experiment(config, tmp_path / "b")
+    _, _, first = run_experiment(replace(config, outdir=str(tmp_path / "a")))
+    _, _, second = run_experiment(replace(config, outdir=str(tmp_path / "b")))
     identical = all(
         a.read_bytes() == b.read_bytes() for a, b in zip(first, second)
     )

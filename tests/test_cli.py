@@ -77,6 +77,13 @@ class TestExitCodes:
         assert run(["--help"]) == EX_OK
         assert "swarmsim" in capsys.readouterr().out
 
+    def test_upload_help_names_each_config_flag(self, capsys):
+        assert run(["upload", "--help"]) == EX_OK
+        shown = capsys.readouterr().out
+        for flag in ("--peers", "--seed", "--view-size", "--ns", "--backends",
+                     "--chunk-size", "--branching", "--k", "--n", "--no-sync"):
+            assert re.search(rf"^  {flag}\b", shown, re.MULTILINE), flag
+
     def test_fresh_upload_requires_peers(self, tmp_path, state):
         code, _, err = cli(
             "upload", "--file", state["source"], "--state", tmp_path / "new"
@@ -187,6 +194,27 @@ class TestExitCodes:
         assert code == EX_OK, err
         assert out == "combined 0 deletions\n"
         assert merged.read_bytes() == b""
+
+    def test_combinestorage_refuses_an_entry_the_placement_does_not_hold(self, tmp_path, state):
+        placement, foreign, merged = (tmp_path / n for n in ("p.txt", "l.txt", "all.txt"))
+        code, _, err = cli("stats", "--state", state["dir"], "--manifest", state["manifest"],
+                           "--placement-out", placement)
+        assert code == EX_OK, err
+        foreign.write_text(f"{'05' * 32} {'09' * 32}\n")
+        code, out, err = cli("combinestorage", foreign, "--placement", placement, "--out", merged)
+        assert code == EX_USAGE
+        assert err == f"error: deletion entry {'05' * 32} {'09' * 32} is not in the placement\n"
+        assert out == "" and not merged.exists()
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_retrieve_refuses_entry_and_seed_together(self, tmp_path, state, seed):
+        code, out, err = cli(
+            "retrieve", "--state", state["dir"], "--manifest", state["manifest"],
+            "--out", tmp_path / "out.bin", "--entry", 0, "--seed", seed,
+        )
+        assert code == EX_USAGE
+        assert "not allowed with argument --entry" in err
+        assert out == "" and not (tmp_path / "out.bin").exists()
 
     def test_missing_input_exits_four(self, tmp_path):
         code, _, err = cli("listchunks", "--manifest", tmp_path / "absent.txt")

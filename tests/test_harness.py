@@ -239,6 +239,26 @@ class TestRunIterations:
         no_sync = dataclasses.replace(CONFIG, sim=dataclasses.replace(CONFIG.sim, sync_mode=SYNC_NONE))
         assert run_iterations(prepared.snapshot, no_sync) == results
 
+    def test_a_sweep_leaves_the_replicas_as_the_snapshot_holds_them(self, prepared, monkeypatch):
+        """Retrieval, repairs included, only reads: after the last cell the
+        network's stores still match the snapshot, and the snapshot itself
+        is untouched."""
+        snapshot = prepared.snapshot
+        before = {pid: dict(store) for pid, store in snapshot.stores.items()}
+        networks = []
+        restore = Network.restore
+
+        def spy(self, snap):
+            networks.append(self)
+            return restore(self, snap)
+
+        monkeypatch.setattr(Network, "restore", spy)
+        rows = run_iterations(snapshot, CONFIG)
+        assert sum(r.repaired_groups for r in rows) > 0
+        assert len(set(map(id, networks))) == 1
+        assert networks[-1].census_digest() == snapshot.digest
+        assert snapshot.stores == before
+
     def test_availability_is_monotone_in_the_failure_set(self, prepared):
         config = CONFIG
         network = spawn_network(prepared.snapshot.config)
@@ -317,8 +337,9 @@ class TestRunExperiment:
             fractions=(0.0, 0.5),
             iterations=2,
             min_degree=1,
+            outdir=str(tmp_path),
         )
-        prepared, rows, paths = run_experiment(config, tmp_path)
+        prepared, rows, paths = run_experiment(config)
         assert prepared.rules.ok
         assert len(rows) == 4
         assert all(p.is_file() for p in paths)
@@ -337,10 +358,11 @@ class TestRunExperiment:
 
         monkeypatch.setattr(Network, "upload", spy)
         config = ExperimentConfig(
-            sim=SimConfig(num_peers=30, seed=2, view_size=10), file_sizes=(80_000,), min_degree=11
+            sim=SimConfig(num_peers=30, seed=2, view_size=10), file_sizes=(80_000,), min_degree=11,
+            outdir=str(tmp_path / "out"),
         )
         with pytest.raises(ConnectivityError, match="^connectivity below min_degree 11: weakest"):
-            run_experiment(config, tmp_path / "out")
+            run_experiment(config)
         assert uploads == []
         assert not (tmp_path / "out").exists()
 

@@ -308,6 +308,16 @@ class TestCombineStorage:
         assert combinestorage([], placement) == []
         assert merge_keeps(placement, []) == placement.chunk_to_peers
 
+    @pytest.mark.parametrize("entry", [(P3, C1), (P1, C3)],
+                             ids=["peer-not-a-holder", "chunk-without-holders"])
+    def test_an_entry_the_placement_does_not_hold_is_refused(self, entry):
+        placement = PlacementMap(chunk_to_peers={C1: {P1, P2}, C2: {P1}}, files={"f1": (C1, C2)})
+        pid, addr = entry
+        refused = f"^deletion entry {pid.hex()} {addr.hex()} is not in the placement$"
+        with pytest.raises(ValueError, match=refused):
+            combinestorage([[entry]], placement)
+        assert combinestorage([[entry]]) == [entry]
+
     def test_union_is_sorted_and_deduplicated(self):
         a = [(P2, C1), (P1, C2)]
         b = [(P1, C2), (P1, C1)]
